@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import allocate_proportional
-from .model import AgentProfile, RegionSpec, SolutionPlacement, wrap_distance
+from .model import _BLOCK_ENTRIES, AgentProfile, RegionSpec, SolutionPlacement, wrap_distance
 
 __all__ = [
     "StrategySpec",
@@ -207,8 +207,9 @@ def simulate_grouped(setup: TrialSetup, policy: GroupingPolicy) -> TrialOutcome:
             owner = (g, group, region_len, offset)
             break
     if owner is None:
-        # float sliver at a boundary: charge the group whose start is nearest behind x
-        g = min(range(G), key=lambda k: (x - groups[k][0].start) % L)
+        # float sliver at a boundary: charge the group whose start is nearest behind x;
+        # among groups sharing that start the last one owns the arc, as in region_len_of
+        g = min(reversed(range(G)), key=lambda k: (x - groups[k][0].start) % L)
         group = groups[g]
         owner = (g, group, region_len_of(g), (x - group[0].start) % L)
 
@@ -249,6 +250,12 @@ def no_overtake_condition(v_min: float, v_max: float, l_min: float, l_max: float
     return v_max / v_min < (l_min + l_max) / l_max
 
 
+def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
+    # min and max carry a NaN through, and the comparison then rejects it
+    if a.size and not (a.min() >= 0.0 and a.max() < length):
+        raise ValueError(f"{what} outside [0, {length})")
+
+
 def _check_batch(starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float) -> None:
     if starts.ndim != 2 or starts.shape != speeds.shape:
         raise ValueError(f"starts/speeds must share shape (trials, m), got {starts.shape} and {speeds.shape}")
@@ -256,6 +263,14 @@ def _check_batch(starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: 
         raise ValueError(f"x must have shape ({starts.shape[0]},), got {x.shape}")
     if length <= 0:
         raise ValueError(f"region length must be positive, got {length!r}")
+    _require_in_region(x, length, "solution positions")
+
+
+def _row_blocks(trials: int, m: int):
+    """Row slices of about _BLOCK_ENTRIES entries, so a block's temporaries stay in cache."""
+    step = max(1, _BLOCK_ENTRIES // m)
+    for lo in range(0, trials, step):
+        yield slice(lo, min(lo + step, trials))
 
 
 def _wrap_offsets(a: np.ndarray, length: float) -> np.ndarray:
@@ -266,30 +281,52 @@ def _wrap_offsets(a: np.ndarray, length: float) -> np.ndarray:
 def one_directional_times(
     starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float
 ) -> np.ndarray:
-    """Batch of one-directional trial times; rows are trials, columns agents."""
+    """Batch of one-directional trial times; rows are trials, columns agents.
+
+    Starts and solution positions must lie in [0, length), else ValueError.
+    """
     _check_batch(starts, speeds, x, length)
-    d = _wrap_offsets(x[:, None] - starts, length)
-    return (d / speeds).min(axis=1)
+    out = np.empty(len(x))
+    top = np.nextafter(length, 0.0)
+    for rows in _row_blocks(*starts.shape):
+        s = starts[rows]
+        _require_in_region(s, length, "agent starts")
+        d = x[rows, None] - s
+        # |d| < length, so this is `d % length` bit for bit; d + length can still
+        # round up to length, which the clamp turns into the largest offset below it
+        d += length * (d < 0)
+        np.minimum(d, top, out=d)
+        d /= speeds[rows]
+        d.min(axis=1, out=out[rows])
+    return out
 
 
 def two_directional_times(
     starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float
 ) -> np.ndarray:
-    """Batch of two-directional trial times (both ways at half speed)."""
+    """Batch of two-directional trial times (both ways at half speed).
+
+    Starts and solution positions must lie in [0, length), else ValueError.
+    """
     _check_batch(starts, speeds, x, length)
-    fwd = _wrap_offsets(x[:, None] - starts, length)
-    bwd = _wrap_offsets(starts - x[:, None], length)
-    return (np.minimum(fwd, bwd) / (0.5 * speeds)).min(axis=1)
+    out = np.empty(len(x))
+    for rows in _row_blocks(*starts.shape):
+        s = starts[rows]
+        _require_in_region(s, length, "agent starts")
+        # the nearer way round is min(|d|, length - |d|); length - |d| rounds to
+        # length only when |d| is tiny, and then |d| is the minimum anyway
+        d = x[rows, None] - s
+        np.abs(d, out=d)
+        np.minimum(d, length - d, out=d)
+        d /= 0.5 * speeds[rows]
+        d.min(axis=1, out=out[rows])
+    return out
 
 
-def grouped_times(
+def _grouped_block(
     starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float, group_size: int
 ) -> np.ndarray:
-    """Batch of grouped-strategy trial times at pooled per-group sweep rates."""
-    _check_batch(starts, speeds, x, length)
-    trials, m = starts.shape
-    if not 1 <= group_size <= m:
-        raise ValueError(f"group size {group_size} out of range for {m} agents")
+    trials = starts.shape[0]
     order = np.argsort(starts, axis=1, kind="stable")
     s = np.take_along_axis(starts, order, axis=1)
     v = np.take_along_axis(speeds, order, axis=1)
@@ -306,12 +343,26 @@ def grouped_times(
     return offset / rates[rows, pos]
 
 
-def proportional_times(speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
-    """Batch of proportional-allocation trial times; starts are implied by the arcs."""
-    if speeds.ndim != 2:
-        raise ValueError(f"speeds must have shape (trials, m), got {speeds.shape}")
-    if x.shape != (speeds.shape[0],):
-        raise ValueError(f"x must have shape ({speeds.shape[0]},), got {x.shape}")
+def grouped_times(
+    starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float, group_size: int
+) -> np.ndarray:
+    """Batch of grouped-strategy trial times at pooled per-group sweep rates.
+
+    Starts and solution positions must lie in [0, length), else ValueError.
+    """
+    _check_batch(starts, speeds, x, length)
+    trials, m = starts.shape
+    if not 1 <= group_size <= m:
+        raise ValueError(f"group size {group_size} out of range for {m} agents")
+    out = np.empty(trials)
+    for rows in _row_blocks(trials, m):
+        s = starts[rows]
+        _require_in_region(s, length, "agent starts")
+        out[rows] = _grouped_block(s, speeds[rows], x[rows], length, group_size)
+    return out
+
+
+def _proportional_block(speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
     trials = speeds.shape[0]
     total = speeds.sum(axis=1)
     lengths = speeds * (length / total)[:, None]
@@ -324,3 +375,19 @@ def proportional_times(speeds: np.ndarray, x: np.ndarray, length: float) -> np.n
         owner[sliver] = np.argmin(offs[sliver], axis=1)
     rows = np.arange(trials)
     return offs[rows, owner] / speeds[rows, owner]
+
+
+def proportional_times(speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
+    """Batch of proportional-allocation trial times; starts are implied by the arcs.
+
+    Solution positions must lie in [0, length), else ValueError.
+    """
+    if speeds.ndim != 2:
+        raise ValueError(f"speeds must have shape (trials, m), got {speeds.shape}")
+    if x.shape != (speeds.shape[0],):
+        raise ValueError(f"x must have shape ({speeds.shape[0]},), got {x.shape}")
+    _require_in_region(x, length, "solution positions")
+    out = np.empty(len(x))
+    for rows in _row_blocks(*speeds.shape):
+        out[rows] = _proportional_block(speeds[rows], x[rows], length)
+    return out

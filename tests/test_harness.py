@@ -94,6 +94,21 @@ def test_run_trials_chunk_seed_contract():
     assert math.isclose(got.mean, t.mean(), rel_tol=1e-12)
     assert got.minimum == t.min() and got.maximum == t.max()
 
+    # sampled speeds: the speed draw sits between the start and solution draws and
+    # follows Generator.choice's stream; chunk sums fold with fsum in chunk order
+    p = plan(m=3, allocation="random", speeds=MIXED, trials=trials, seed=42)
+    got = run_trials(p)
+    times = []
+    for k, count in ((0, CHUNK_TRIALS), (1, 1000)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(3, k)))
+        starts = rng.uniform(0, L, (count, 3))
+        speeds = rng.choice(MIXED.speeds, size=(count, 3), p=MIXED.masses)
+        x = rng.uniform(0, L, count)
+        times.append(one_directional_times(starts, speeds, x, L))
+    assert got.mean == math.fsum(float(np.sum(t)) for t in times) / trials
+    assert got.minimum == min(t.min() for t in times)
+    assert got.maximum == max(t.max() for t in times)
+
 
 def test_seed_changes_result():
     a = run_trials(plan(allocation="random", trials=10_000, seed=0))

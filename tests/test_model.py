@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coopsearch.model import (
+    _BLOCK_ENTRIES,
     AgentProfile,
     RegionSpec,
     SolutionPlacement,
@@ -119,3 +120,24 @@ def test_speed_distribution_sampling():
     assert values <= {0.5, 1.0, 1.375}
     # all three atoms appear in 2000 draws
     assert len(values) == 3
+
+
+TEN_ATOMS = SpeedDistribution(tuple((0.25 * (i + 1), 0.1) for i in range(10)))
+TINY_MASS = SpeedDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12)))
+
+
+@pytest.mark.parametrize(
+    "law", [SpeedDistribution.point_mass(1.5), MIXED, TEN_ATOMS, TINY_MASS], ids=["1", "3", "10", "tiny"]
+)
+@pytest.mark.parametrize(
+    "size", [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300)]
+)
+def test_speed_sample_follows_choice_stream(law, size):
+    # the blocked draw is Generator.choice's stream bit for bit, and leaves the
+    # generator where choice leaves it
+    ref, rng = np.random.default_rng(23), np.random.default_rng(23)
+    want = ref.choice(law.speeds, size=size, p=law.masses)
+    got = law.sample(rng, size)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopsearch.model import AgentProfile, RegionSpec, SolutionPlacement
+from coopsearch.model import _BLOCK_ENTRIES, AgentProfile, RegionSpec, SolutionPlacement
 from coopsearch.simulation import (
     GroupingPolicy,
     StrategySpec,
@@ -24,6 +24,7 @@ from coopsearch.simulation import (
     simulate_two_directional,
     two_directional_times,
 )
+from coopsearch.simulation import _grouped_block, _proportional_block, _row_blocks
 
 R = RegionSpec(1000.0)
 L = 1000.0
@@ -218,12 +219,13 @@ def test_sweep_time_bounds(inputs):
 
 
 @given(st.integers(min_value=1, max_value=12), positions)
+@example(m=3, x=999.9999999999999)  # x / (L / m) rounds up to 3.0 here
 def test_homogeneous_no_overtake_finder(m, x):
     # equal speeds, equal arcs: the arc owner always wins
     starts = [i * L / m for i in range(m)]
     setup = make_setup(starts, [1.0] * m, x, ONE)
     out = simulate_one_directional(setup)
-    owner = int(x / (L / m)) % m
+    owner = max(i for i, s in enumerate(starts) if s <= x)
     assert out.finder == owner
 
 
@@ -251,6 +253,8 @@ def test_two_directional_kernel_matches_scalar(inputs):
 
 @given(trial_inputs(min_agents=2), st.integers(min_value=1, max_value=8))
 @settings(max_examples=150)
+# agents 0 and 1 share a start, so x sits on the float sliver of the wrap group
+@example(inputs=([1.0, 1.0, 6.865236922756406e-199], [1.0, 2.0, 1.0], 0.0), n=1)
 def test_grouped_kernel_matches_scalar(inputs, n):
     starts, speeds, x = inputs
     m = len(starts)
@@ -284,3 +288,100 @@ def test_simulations_are_pure():
     a = simulate_grouped(setup, GroupingPolicy(2))
     b = simulate_grouped(setup, GroupingPolicy(2))
     assert a == b
+
+
+# Bit-identity of the row-blocked kernels against the whole-batch wrap formulas
+# they replaced, kept here as plain-function oracles.
+
+def wrap_offsets_oracle(a, length):
+    d = a % length
+    return np.where(d >= length, np.nextafter(length, 0.0), d)
+
+
+def one_directional_oracle(starts, speeds, x, length):
+    return (wrap_offsets_oracle(x[:, None] - starts, length) / speeds).min(axis=1)
+
+
+def two_directional_oracle(starts, speeds, x, length):
+    fwd = wrap_offsets_oracle(x[:, None] - starts, length)
+    bwd = wrap_offsets_oracle(starts - x[:, None], length)
+    return (np.minimum(fwd, bwd) / (0.5 * speeds)).min(axis=1)
+
+
+def adversarial_batch(m, seed):
+    """Random trials over four row blocks, the last one ragged, with edge positions planted."""
+    rng = np.random.default_rng(seed)
+    trials = 3 * max(1, _BLOCK_ENTRIES // m) + 17
+    assert len(list(_row_blocks(trials, m))) >= 4
+    starts = rng.uniform(0, L, (trials, m))
+    speeds = rng.choice([0.5, 1.0, 1.375, 3.7], size=(trials, m))
+    x = rng.uniform(0, L, trials)
+    top = np.nextafter(L, 0.0)
+    x[0:4] = 0.0
+    x[4:8] = top
+    starts[8:12] = x[8:12, None]  # x == start
+    starts[12:16] = np.nextafter(x[12:16, None], 0.0)  # start one ulp below x
+    starts[16:20] = np.nextafter(x[16:20, None], L)  # start one ulp above x
+    starts[20:24], x[20:24] = 0.0, top
+    starts[24:28], x[24:28] = top, 0.0
+    starts[28:32], x[28:32] = top, np.nextafter(top, 0.0)
+    starts[32:36], x[32:36] = 1e-300, 0.0  # x - start + L rounds up to L
+    # the same edges again in the last block, which is ragged
+    starts[-4:], x[-4:] = top, 0.0
+    return starts, speeds, x
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 256])
+def test_one_directional_kernel_bit_identical(m):
+    starts, speeds, x = adversarial_batch(m, seed=m)
+    got = one_directional_times(starts, speeds, x, L)
+    assert np.array_equal(got, one_directional_oracle(starts, speeds, x, L))
+    # fixed starts and shared speeds arrive as broadcast views
+    fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
+    unit = np.broadcast_to(np.array([1.0]), starts.shape)
+    got = one_directional_times(fixed, unit, x, L)
+    assert np.array_equal(got, one_directional_oracle(fixed, unit, x, L))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 256])
+def test_two_directional_kernel_bit_identical(m):
+    starts, speeds, x = adversarial_batch(m, seed=100 + m)
+    got = two_directional_times(starts, speeds, x, L)
+    assert np.array_equal(got, two_directional_oracle(starts, speeds, x, L))
+    fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
+    unit = np.broadcast_to(np.array([1.0]), starts.shape)
+    got = two_directional_times(fixed, unit, x, L)
+    assert np.array_equal(got, two_directional_oracle(fixed, unit, x, L))
+
+
+@pytest.mark.parametrize("m", [2, 7, 256])
+def test_grouped_and_proportional_blocks_match_one_pass(m):
+    starts, speeds, x = adversarial_batch(m, seed=200 + m)
+    for n in sorted({1, 2, m}):
+        got = grouped_times(starts, speeds, x, L, n)
+        assert np.array_equal(got, _grouped_block(starts, speeds, x, L, n))
+    got = proportional_times(speeds, x, L)
+    assert np.array_equal(got, _proportional_block(speeds, x, L))
+
+
+@pytest.mark.parametrize("bad", [L, -1.0, np.nextafter(L, np.inf), np.nan, np.inf])
+def test_kernels_reject_positions_outside_region(bad):
+    starts, speeds, x = adversarial_batch(7, seed=3)
+    kernels = (
+        lambda s, x: one_directional_times(s, speeds, x, L),
+        lambda s, x: two_directional_times(s, speeds, x, L),
+        lambda s, x: grouped_times(s, speeds, x, L, 2),
+    )
+    for kernel in kernels:
+        bad_x = x.copy()
+        bad_x[5] = bad
+        with pytest.raises(ValueError, match="outside"):
+            kernel(starts, bad_x)
+        bad_starts = starts.copy()
+        bad_starts[-1, 3] = bad  # in the last row block, not the first
+        with pytest.raises(ValueError, match="outside"):
+            kernel(bad_starts, x)
+    bad_x = x.copy()
+    bad_x[-1] = bad
+    with pytest.raises(ValueError, match="outside"):
+        proportional_times(speeds, bad_x, L)
