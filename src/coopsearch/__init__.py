@@ -37,6 +37,7 @@ from .analytics import (
 )
 from .harness import (
     CompareRow,
+    StrategySpec,
     SummaryStats,
     SweepResult,
     TrialPlan,
@@ -54,10 +55,8 @@ from .model import (
 )
 from .simulation import (
     GroupingPolicy,
-    StrategySpec,
     TrialOutcome,
     TrialSetup,
-    meeting_split,
     no_overtake_condition,
     simulate_grouped,
     simulate_one_directional,
@@ -103,7 +102,6 @@ __all__ = [
     "simulate_two_directional",
     "simulate_grouped",
     "simulate_proportional",
-    "meeting_split",
     "no_overtake_condition",
     "TrialPlan",
     "SummaryStats",

@@ -131,10 +131,11 @@ def expected_time_random_starts(
     region_length: float, m: int, speed_pmf: SpeedDistribution
 ) -> float:
     """Uniform random starts: gap lengths have E(l^2) = 2L^2 / (m (m+1)) exactly,
-    so the mean time is L * E(1/v) / (m + 1)."""
+    so the factorized mean m/(2L) * E(1/v) * E(l^2) is L * E(1/v) / (m + 1)."""
     if m < 1:
         raise ValueError(f"agent count must be positive, got {m}")
-    return region_length * mean_inverse_speed(speed_pmf) / (m + 1)
+    L = region_length
+    return m / (2.0 * L) * mean_inverse_speed(speed_pmf) * (2.0 * L * L / (m * (m + 1)))
 
 
 def expected_time_proportional(region_length: float, speeds) -> float:

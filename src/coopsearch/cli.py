@@ -18,23 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import (
-    estimate_length_pmf,
-    length_pmf_equal,
-    length_pmf_semi_equal,
-    spacing_pmf_oracle,
+from .allocation import estimate_length_pmf, spacing_pmf_oracle
+from .harness import (
+    STRATEGIES,
+    TrialPlan,
+    closed_form,
+    compare_strategies,
+    method_name,
+    resolve_method,
+    run_trials,
+    sweep_m,
 )
-from .analytics import (
-    expected_time_independent,
-    expected_time_proportional,
-    expected_time_proportional_resampled,
-    expected_time_random_starts,
-    mean_inverse_speed,
-    second_moment,
-)
-from .harness import TrialPlan, compare_strategies, resolve_method, run_trials, sweep_m
 from .model import RegionSpec, SpeedDistribution
-from .simulation import StrategySpec
 
 __all__ = [
     "ExperimentConfig",
@@ -237,31 +232,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv=None) -> ExperimentConfig:
+    """Parse argv into a config; every configuration error raises CliError.
+
+    The region, the speed law and every trial plan the command uses are built
+    here, so their own checks validate the input.
+    """
     ns = _build_parser().parse_args(argv)
+    try:
+        return _validated(ns)
+    except ValueError as e:
+        raise CliError(str(e)) from None
+
+
+def _validated(ns) -> ExperimentConfig:
     command = ns.command
-
-    region_length = float(ns.region_length)
-    if not region_length > 0:
-        raise CliError(f"--region-length must be positive, got {region_length!r}")
-
+    region_length = RegionSpec(float(ns.region_length)).length
     trials = getattr(ns, "trials", 1)
     seed = getattr(ns, "seed", 0)
-    if trials < 1:
-        raise CliError(f"--trials must be positive, got {trials}")
-    if seed < 0:
-        raise CliError(f"--seed must be non-negative, got {seed}")
-    workers = ns.workers
-    if workers is not None and workers < 1:
-        raise CliError(f"--workers must be positive, got {workers}")
-
+    if ns.workers is not None and ns.workers < 1:
+        raise CliError(f"--workers must be positive, got {ns.workers}")
     speeds = _parse_speeds(ns.speeds) if hasattr(ns, "speeds") else None
-    if isinstance(speeds, SpeedDistribution):
-        pass
-    elif speeds is not None:
-        for v in speeds:
-            if not v > 0:
-                raise CliError(f"speeds must be positive, got {v!r}")
-
     agents = _parse_agents(ns)
     method = getattr(ns, "strategy", None)
     allocation = getattr(ns, "allocation", None)
@@ -270,73 +260,30 @@ def parse_config(argv=None) -> ExperimentConfig:
     if command == "pl-hist":
         if allocation != "random":
             raise CliError(f"pl-hist needs random allocation, got {allocation!r}")
-        if not agents:
-            raise CliError("pl-hist needs --agents")
         if any(m < 2 for m in agents):
             raise CliError(f"pl-hist needs m >= 2, got {agents}")
-    elif command == "expected":
-        if not agents:
-            agents = tuple(range(2, 33))
-        if any(m < 1 for m in agents):
-            raise CliError(f"--agents must be positive, got {agents}")
-        token = method.strip().lower().replace("_", "-")
-        if token not in ("equal", "semi-equal", "random", "proportional"):
-            raise CliError(
-                f"no closed form for strategy {method!r}; use `coopsearch simulate` for it"
-            )
-        method = token
-        if not isinstance(speeds, SpeedDistribution):
-            if len(speeds) != 1:
-                raise CliError(
-                    "expected needs a speed pmf (v:mass pairs) or a single shared speed"
-                )
-            speeds = SpeedDistribution.point_mass(speeds[0])
-    elif command in ("simulate", "sweep"):
-        if not agents:
-            if command == "simulate":
-                raise CliError("simulate needs --agents")
-            agents = tuple(range(2, 33))
+        if trials < 1 or seed < 0:
+            raise CliError(f"pl-hist needs --trials >= 1 and --seed >= 0, got {trials} and {seed}")
+    elif command == "compare":
+        targets = tuple((method_name(token), m) for token, m in targets)
+    else:
+        agents = agents or tuple(range(2, 33))
         if command == "simulate" and len(agents) != 1:
             raise CliError(f"simulate takes a single --agents value, got {agents}")
-        if any(b <= a for a, b in zip(agents, agents[1:])):
+        if command == "sweep" and any(b <= a for a, b in zip(agents, agents[1:])):
             raise CliError(f"agent counts must be strictly increasing, got {agents}")
-        if any(m < 1 for m in agents):
-            raise CliError(f"--agents must be positive, got {agents}")
-        token = method.strip().lower().replace("_", "-")
-        try:
-            strategy, allocation = resolve_method(token, allocation)
-        except ValueError as e:
-            raise CliError(str(e)) from None
-        method = token if token in ("equal", "semi-equal", "random") else str(strategy)
-        if strategy.kind == "grouped" and strategy.group_size > min(agents):
-            raise CliError(
-                f"group size {strategy.group_size} exceeds smallest agent count {min(agents)}"
-            )
-        if not isinstance(speeds, SpeedDistribution):
-            allowed = (1, agents[0]) if command == "simulate" else (1,)
-            if len(speeds) not in allowed:
-                raise CliError(
-                    "fixed speeds must be a single shared value"
-                    + (" or one per agent" if command == "simulate" else "")
-                    + f", got {len(speeds)} values"
-                )
-    elif command == "compare":
-        for token, m in targets:
-            if m < 1:
-                raise CliError(f"agent count must be positive in target {token}:{m}")
-            try:
-                strategy, _ = resolve_method(token)
-            except ValueError as e:
-                raise CliError(str(e)) from None
-            if strategy.kind == "grouped" and strategy.group_size > m:
-                raise CliError(f"group size exceeds agent count in target {token}:{m}")
-        targets = tuple(
-            (token.strip().lower().replace("_", "-"), m) for token, m in targets
-        )
-        if not isinstance(speeds, SpeedDistribution) and len(speeds) != 1:
-            raise CliError("compare needs a speed pmf or a single shared speed")
+        if command == "expected" and not isinstance(speeds, SpeedDistribution):
+            if len(speeds) != 1:
+                raise CliError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
+            speeds = SpeedDistribution.point_mass(speeds[0])
+        method = method_name(method)
+        strategy, allocation = resolve_method(method, allocation)
+        if method != allocation:
+            method = str(strategy)  # canonical name, e.g. grouped-3; allocation names stay
+        if command == "expected" and allocation not in STRATEGIES[strategy.kind].closed_forms:
+            raise CliError(f"no closed form for strategy {method!r}; use `coopsearch simulate` for it")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         command=command,
         region_length=region_length,
         agents=agents,
@@ -345,12 +292,16 @@ def parse_config(argv=None) -> ExperimentConfig:
         speeds=speeds,
         trials=trials,
         seed=seed,
-        workers=workers,
+        workers=ns.workers,
         output=ns.output,
         fmt=ns.fmt,
         with_analytic=getattr(ns, "with_analytic", False),
         targets=targets,
     )
+    if command != "pl-hist":
+        for token, m in targets or [(method, m) for m in agents]:
+            _plan(cfg, token, m)  # each trial plan the command uses, built for its checks
+    return cfg
 
 
 def _config_line(cfg: ExperimentConfig) -> str:
@@ -400,59 +351,17 @@ def cmd_pl_hist(cfg: ExperimentConfig) -> OutputRecord:
     )
 
 
-def _analytic_value(
-    strategy: StrategySpec,
-    allocation: str,
-    region_length: float,
-    m: int,
-    speeds: SpeedDistribution | tuple[float, ...],
-) -> float | None:
-    """Closed-form mean for the configuration, when one exists."""
-    L = region_length
-    if strategy.kind == "proportional":
-        if isinstance(speeds, SpeedDistribution):
-            return expected_time_proportional_resampled(L, speeds, m)
-        v = speeds if len(speeds) == m else speeds * m
-        return expected_time_proportional(L, v)
-    if strategy.kind != "one-directional":
-        return None
-    if isinstance(speeds, SpeedDistribution):
-        inv_mean = mean_inverse_speed(speeds)
-    else:
-        v = speeds if len(speeds) == m else speeds * m
-        inv_mean = float(np.mean([1.0 / s for s in v]))
-    if allocation == "equal":
-        second = (L / m) ** 2
-    elif allocation == "semi-equal":
-        second = second_moment(length_pmf_semi_equal(L, m))
-    else:
-        second = 2.0 * L * L / (m * (m + 1))
-    return m / (2.0 * L) * inv_mean * second
-
-
 def cmd_expected(cfg: ExperimentConfig) -> OutputRecord:
-    rows = []
-    L = cfg.region_length
-    pmf = cfg.speeds
-    for m in cfg.agents:
-        if cfg.method == "equal":
-            value = expected_time_independent(pmf, length_pmf_equal(L, m), m, L)
-        elif cfg.method == "semi-equal":
-            value = expected_time_independent(pmf, length_pmf_semi_equal(L, m), m, L)
-        elif cfg.method == "random":
-            value = expected_time_random_starts(L, m, pmf)
-        else:
-            value = expected_time_proportional_resampled(L, pmf, m)
-        rows.append((cfg.method, m, value))
+    rows = tuple((cfg.method, m, closed_form(_plan(cfg, cfg.method, m))) for m in cfg.agents)
     return OutputRecord(
         columns=("strategy", "m", "expected_time"),
-        rows=tuple(rows),
+        rows=rows,
         config_line=_config_line(cfg),
     )
 
 
-def _plan(cfg: ExperimentConfig, m: int) -> TrialPlan:
-    strategy, allocation = resolve_method(cfg.method, cfg.allocation)
+def _plan(cfg: ExperimentConfig, method: str, m: int) -> TrialPlan:
+    strategy, allocation = resolve_method(method, cfg.allocation)
     return TrialPlan(
         region=RegionSpec(cfg.region_length),
         num_agents=m,
@@ -464,41 +373,39 @@ def _plan(cfg: ExperimentConfig, m: int) -> TrialPlan:
     )
 
 
+def _stat_row(method: str, m: int, stats, seed: int) -> tuple:
+    return (method, m, stats.mean, stats.stderr, stats.ci95, stats.trials, seed)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> OutputRecord:
     m = cfg.agents[0]
-    stats = run_trials(_plan(cfg, m), workers=cfg.workers)
-    row = (cfg.method, m, stats.mean, stats.stderr, stats.ci95, stats.trials, cfg.seed)
+    stats = run_trials(_plan(cfg, cfg.method, m), workers=cfg.workers)
+    row = _stat_row(cfg.method, m, stats, cfg.seed)
     return OutputRecord(columns=STAT_COLUMNS, rows=(row,), config_line=_config_line(cfg))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> OutputRecord:
-    strategy, allocation = resolve_method(cfg.method, cfg.allocation)
-    template = _plan(cfg, cfg.agents[0])
-    result = sweep_m(template, cfg.agents, workers=cfg.workers)
+    result = sweep_m(_plan(cfg, cfg.method, cfg.agents[0]), cfg.agents, workers=cfg.workers)
     columns = STAT_COLUMNS + (("analytic",) if cfg.with_analytic else ())
     rows = []
     for m, stats in result.entries:
-        row = [cfg.method, m, stats.mean, stats.stderr, stats.ci95, stats.trials, cfg.seed]
+        row = _stat_row(cfg.method, m, stats, cfg.seed)
         if cfg.with_analytic:
-            row.append(_analytic_value(strategy, allocation, cfg.region_length, m, cfg.speeds))
-        rows.append(tuple(row))
+            row += (closed_form(_plan(cfg, cfg.method, m)),)
+        rows.append(row)
     return OutputRecord(columns=columns, rows=tuple(rows), config_line=_config_line(cfg))
 
 
 def cmd_compare(cfg: ExperimentConfig) -> OutputRecord:
-    speeds = cfg.speeds
     table = compare_strategies(
         RegionSpec(cfg.region_length),
-        speeds,
+        cfg.speeds,
         cfg.targets,
         trials=cfg.trials,
         base_seed=cfg.seed,
         workers=cfg.workers,
     )
-    rows = tuple(
-        (row.method, row.m, row.stats.mean, row.stats.stderr, row.stats.ci95, row.stats.trials, cfg.seed)
-        for row in table
-    )
+    rows = tuple(_stat_row(row.method, row.m, row.stats, cfg.seed) for row in table)
     return OutputRecord(columns=STAT_COLUMNS, rows=rows, config_line=_config_line(cfg))
 
 

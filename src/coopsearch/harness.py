@@ -1,5 +1,9 @@
 """Monte-Carlo trial runner, summary statistics, sweeps over m, and strategy comparison.
 
+Every strategy kind is declared once, in STRATEGIES: the allocations it runs on,
+its batch kernel, and its closed-form means.  Plan validation, method names, the
+kernel dispatch and `closed_form` all read that table.
+
 Reproducibility contract: results are bit-identical for identical plans at any worker
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
 default_rng(SeedSequence(entropy=base_seed, spawn_key=(stream, k))), and partial sums
@@ -11,15 +15,19 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .allocation import semi_equal_starts
+from .allocation import length_pmf_equal, length_pmf_semi_equal, semi_equal_starts
+from .analytics import (
+    expected_time_independent,
+    expected_time_proportional_resampled,
+    expected_time_random_starts,
+)
 from .model import RegionSpec, SpeedDistribution
 from .simulation import (
-    StrategySpec,
     grouped_times,
     one_directional_times,
     proportional_times,
@@ -28,12 +36,16 @@ from .simulation import (
 
 __all__ = [
     "CHUNK_TRIALS",
-    "ALLOCATION_METHODS",
+    "STRATEGIES",
+    "StrategyKind",
+    "StrategySpec",
     "TrialPlan",
     "SummaryStats",
     "SweepResult",
     "CompareRow",
+    "method_name",
     "resolve_method",
+    "closed_form",
     "run_trials",
     "sweep_m",
     "compare_strategies",
@@ -42,15 +54,99 @@ __all__ = [
 # fixed chunk size is part of the determinism contract: changing it changes streams
 CHUNK_TRIALS = 32768
 
-ALLOCATION_METHODS = ("equal", "semi-equal", "random", "proportional")
 
-# strategy kind -> allocations it can run on
-_SUPPORTED = {
-    "one-directional": ("equal", "semi-equal", "random"),
-    "two-directional": ("equal", "semi-equal", "random"),
-    "grouped": ("equal", "semi-equal", "random"),
-    "proportional": ("proportional",),
+@dataclass(frozen=True)
+class StrategyKind:
+    """One strategy kind: the allocations it runs on (the default first), its batch
+    kernel `(starts, speeds, x, L, spec) -> times`, and the exact mean
+    `(L, m, speed law) -> float` for each allocation that has a closed form."""
+
+    allocations: tuple[str, ...]
+    kernel: Callable[..., np.ndarray]
+    closed_forms: Mapping[str, Callable[[float, int, SpeedDistribution], float]] = field(
+        default_factory=dict
+    )
+
+
+_SWEEP_ALLOCATIONS = ("random", "equal", "semi-equal")
+
+# The kernels are looked up as module globals when a chunk runs, not captured here,
+# so a wrapper installed on this module's *_times names sees every call.
+STRATEGIES = {
+    "one-directional": StrategyKind(
+        _SWEEP_ALLOCATIONS,
+        lambda starts, speeds, x, L, spec: one_directional_times(starts, speeds, x, L),
+        {
+            "random": expected_time_random_starts,
+            "equal": lambda L, m, law: expected_time_independent(law, length_pmf_equal(L, m), m, L),
+            "semi-equal": lambda L, m, law: expected_time_independent(
+                law, length_pmf_semi_equal(L, m), m, L
+            ),
+        },
+    ),
+    "two-directional": StrategyKind(
+        _SWEEP_ALLOCATIONS,
+        lambda starts, speeds, x, L, spec: two_directional_times(starts, speeds, x, L),
+    ),
+    "grouped": StrategyKind(
+        _SWEEP_ALLOCATIONS,
+        lambda starts, speeds, x, L, spec: grouped_times(starts, speeds, x, L, spec.group_size),
+    ),
+    "proportional": StrategyKind(
+        ("proportional",),
+        lambda starts, speeds, x, L, spec: proportional_times(speeds, x, L),
+        {"proportional": lambda L, m, law: expected_time_proportional_resampled(L, law, m)},
+    ),
 }
+
+
+def method_name(text: str) -> str:
+    """Canonical spelling of a method token: trimmed, lower case, hyphens for underscores."""
+    return text.strip().lower().replace("_", "-")
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """Which cooperation strategy a trial uses; grouped carries its group size."""
+
+    kind: str
+    group_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in STRATEGIES:
+            raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {tuple(STRATEGIES)}")
+        if self.kind == "grouped":
+            if not (isinstance(self.group_size, (int, np.integer)) and self.group_size >= 1):
+                raise ValueError(f"grouped strategy needs group_size >= 1, got {self.group_size!r}")
+        elif self.group_size is not None:
+            raise ValueError(f"group_size only applies to grouped, not {self.kind!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> "StrategySpec":
+        """Parse 'one-directional', 'grouped-3', etc.; underscores accepted for hyphens."""
+        token = method_name(text)
+        if token.startswith("grouped-"):
+            try:
+                n = int(token[len("grouped-"):])
+            except ValueError:
+                raise ValueError(f"bad group size in strategy {text!r}") from None
+            return cls("grouped", n)
+        if token == "grouped":
+            raise ValueError("grouped strategy needs a size, e.g. 'grouped-3'")
+        return cls(token)
+
+    def __str__(self) -> str:
+        if self.kind == "grouped":
+            return f"grouped-{self.group_size}"
+        return self.kind
+
+
+def _require_runs_on(strategy: StrategySpec, allocation: str) -> None:
+    allowed = STRATEGIES[strategy.kind].allocations
+    if allocation not in allowed:
+        raise ValueError(
+            f"strategy {strategy} does not run on {allocation!r} allocation (supported: {allowed})"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,15 +171,7 @@ class TrialPlan:
     def __post_init__(self) -> None:
         if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 1):
             raise ValueError(f"num_agents must be a positive integer, got {self.num_agents!r}")
-        if self.allocation not in ALLOCATION_METHODS:
-            raise ValueError(
-                f"unknown allocation {self.allocation!r}, expected one of {ALLOCATION_METHODS}"
-            )
-        if self.allocation not in _SUPPORTED[self.strategy.kind]:
-            raise ValueError(
-                f"strategy {self.strategy} does not run on {self.allocation!r} allocation "
-                f"(supported: {_SUPPORTED[self.strategy.kind]})"
-            )
+        _require_runs_on(self.strategy, self.allocation)
         if self.strategy.kind == "grouped" and self.strategy.group_size > self.num_agents:
             raise ValueError(
                 f"group size {self.strategy.group_size} exceeds agent count {self.num_agents}"
@@ -161,22 +249,36 @@ class CompareRow:
 def resolve_method(token: str, allocation: str | None = None) -> tuple[StrategySpec, str]:
     """Map a method name to (strategy, allocation).
 
-    Plain allocation names (equal, semi-equal, random) mean a one-directional sweep
-    of that allocation; strategy names default to random starts, except proportional
-    which carries its own allocation.  An explicit allocation overrides the default
-    but may not contradict an allocation-implying token.
+    The name of a one-directional allocation (equal, semi-equal, random) means a
+    one-directional sweep over it.  A strategy name takes its kind's default
+    allocation, or `allocation` when given, which the kind must run on.
     """
-    tok = token.strip().lower().replace("_", "-")
-    if tok in ("equal", "semi-equal", "random"):
+    tok = method_name(token)
+    if tok in STRATEGIES["one-directional"].allocations:
         if allocation is not None and allocation != tok:
             raise ValueError(f"method {token!r} implies allocation {tok!r}, got {allocation!r}")
         return StrategySpec("one-directional"), tok
     strategy = StrategySpec.parse(tok)
-    if strategy.kind == "proportional":
-        if allocation is not None and allocation != "proportional":
-            raise ValueError(f"proportional strategy implies proportional allocation, got {allocation!r}")
-        return strategy, "proportional"
-    return strategy, allocation if allocation is not None else "random"
+    if allocation is None:
+        return strategy, STRATEGIES[strategy.kind].allocations[0]
+    _require_runs_on(strategy, allocation)
+    return strategy, allocation
+
+
+def closed_form(plan: TrialPlan) -> float | None:
+    """Closed-form mean time for the plan's strategy and allocation, or None if it has none.
+
+    One-directional forms are the no-overtake model, a bound under heterogeneous
+    speeds.  A closed form takes a speed law: one fixed shared speed counts as its
+    point mass, and fixed per-agent speeds have no closed form here.
+    """
+    form = STRATEGIES[plan.strategy.kind].closed_forms.get(plan.allocation)
+    law = plan.speeds
+    if not isinstance(law, SpeedDistribution):
+        if len(law) > 1:
+            return None
+        law = SpeedDistribution.point_mass(law[0])
+    return None if form is None else form(plan.region.length, plan.num_agents, law)
 
 
 def _stream(plan: TrialPlan) -> int:
@@ -221,15 +323,7 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
 
     x = rng.uniform(0.0, L, count)
 
-    kind = plan.strategy.kind
-    if kind == "one-directional":
-        times = one_directional_times(starts, speeds, x, L)
-    elif kind == "two-directional":
-        times = two_directional_times(starts, speeds, x, L)
-    elif kind == "grouped":
-        times = grouped_times(starts, speeds, x, L, plan.strategy.group_size)
-    else:
-        times = proportional_times(speeds, x, L)
+    times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
     return (
         float(np.sum(times)),
         float(np.sum(times * times)),
@@ -315,5 +409,5 @@ def compare_strategies(
             trials=trials,
             base_seed=base_seed,
         )
-        rows.append(CompareRow(method=str(token).strip().lower().replace("_", "-"), m=m, stats=run_trials(plan, workers=workers)))
+        rows.append(CompareRow(method=method_name(token), m=m, stats=run_trials(plan, workers=workers)))
     return tuple(rows)

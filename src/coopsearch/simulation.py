@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .allocation import allocate_proportional
 from .model import _BLOCK_ENTRIES, AgentProfile, RegionSpec, SolutionPlacement, wrap_distance
 
+if TYPE_CHECKING:
+    from .harness import StrategySpec
+
 __all__ = [
-    "StrategySpec",
     "GroupingPolicy",
     "TrialSetup",
     "TrialOutcome",
@@ -23,53 +26,12 @@ __all__ = [
     "simulate_two_directional",
     "simulate_grouped",
     "simulate_proportional",
-    "meeting_split",
     "no_overtake_condition",
     "one_directional_times",
     "two_directional_times",
     "grouped_times",
     "proportional_times",
-    "STRATEGY_KINDS",
 ]
-
-STRATEGY_KINDS = ("one-directional", "two-directional", "grouped", "proportional")
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """Which cooperation strategy a trial uses; grouped carries its group size."""
-
-    kind: str
-    group_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {STRATEGY_KINDS}")
-        if self.kind == "grouped":
-            if not (isinstance(self.group_size, (int, np.integer)) and self.group_size >= 1):
-                raise ValueError(f"grouped strategy needs group_size >= 1, got {self.group_size!r}")
-        elif self.group_size is not None:
-            raise ValueError(f"group_size only applies to grouped, not {self.kind!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "StrategySpec":
-        """Parse 'one-directional', 'grouped-3', etc.; underscores accepted for hyphens."""
-        token = text.strip().lower().replace("_", "-")
-        if token.startswith("grouped-"):
-            tail = token[len("grouped-"):]
-            try:
-                n = int(tail)
-            except ValueError:
-                raise ValueError(f"bad group size in strategy {text!r}") from None
-            return cls("grouped", n)
-        if token == "grouped":
-            raise ValueError("grouped strategy needs a size, e.g. 'grouped-3'")
-        return cls(token)
-
-    def __str__(self) -> str:
-        if self.kind == "grouped":
-            return f"grouped-{self.group_size}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -152,18 +114,6 @@ def simulate_two_directional(setup: TrialSetup) -> TrialOutcome:
         for a in setup.agents
     )
     return TrialOutcome(t, finder)
-
-
-def meeting_split(gap: float, v_left: float, v_right: float) -> tuple[float, float]:
-    """Where two facing sweeps meet: the gap splits in proportion to the speeds."""
-    if not (math.isfinite(gap) and gap >= 0):
-        raise ValueError(f"gap must be finite and non-negative, got {gap!r}")
-    for v in (v_left, v_right):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"speeds must be finite and positive, got {v!r}")
-    # right side is the complement so the two pieces always sum to the gap exactly
-    left = gap * v_left / (v_left + v_right)
-    return left, gap - left
 
 
 def simulate_grouped(setup: TrialSetup, policy: GroupingPolicy) -> TrialOutcome:

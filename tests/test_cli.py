@@ -1,5 +1,6 @@
 """Command-line interface: validation, provenance echo, regeneration."""
 
+import csv
 import json
 import shlex
 
@@ -47,6 +48,10 @@ def config_line_of(text: str) -> list[str]:
         ["compare", "--targets", "one-directional"],
         ["compare", "--targets", "grouped-9:4"],
         ["simulate", "--agents", "10", "--region-length", "0"],
+        ["expected", "--agents", "3", "--speeds", "inf"],
+        ["pl-hist", "--agents", "2", "--region-length", "inf"],
+        ["simulate", "--agents", "3", "--region-length", "inf"],
+        ["simulate", "--agents", "3", "--speeds", "inf"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
@@ -156,6 +161,20 @@ def test_sweep_with_analytic_equal_value(tmp_path):
             parts = line.split(",")
             values[int(parts[1])] = float(parts[-1])
     assert values == {5: 100.0, 10: 50.0}
+
+
+def table_of(text: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+@pytest.mark.parametrize("method", ["equal", "semi-equal", "random", "proportional"])
+def test_sweep_analytic_is_expected_closed_form(method, tmp_path):
+    sweep = ["sweep", "--agents-range", "2:32", "--strategy", method, "--with-analytic", "--trials", "1000"]
+    expected = ["expected", "--agents-range", "2:32", "--strategy", method]
+    analytic = [row["analytic"] for row in table_of(run_to_file(sweep, tmp_path / "s.csv"))]
+    exact = [row["expected_time"] for row in table_of(run_to_file(expected, tmp_path / "e.csv"))]
+    assert len(analytic) == 31
+    assert analytic == exact  # repr of the same float, so equal bit for bit
 
 
 def test_pl_hist_table_shape(tmp_path):

@@ -6,9 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopsearch import harness
 from coopsearch.analytics import expected_time_random_starts
 from coopsearch.harness import (
     CHUNK_TRIALS,
+    STRATEGIES,
+    StrategySpec,
     SummaryStats,
     TrialPlan,
     compare_strategies,
@@ -17,7 +20,7 @@ from coopsearch.harness import (
     sweep_m,
 )
 from coopsearch.model import RegionSpec, SpeedDistribution
-from coopsearch.simulation import StrategySpec, one_directional_times
+from coopsearch.simulation import one_directional_times
 
 R = RegionSpec(1000.0)
 L = 1000.0
@@ -63,6 +66,24 @@ def test_resolve_method():
         resolve_method("proportional", "equal")
     with pytest.raises(ValueError):
         resolve_method("diagonal")
+
+
+@pytest.mark.parametrize("kind", list(STRATEGIES))
+def test_kernels_called_through_harness_globals(kind, monkeypatch):
+    # perfbench/tracer.py wraps harness.<kind>_times, so the dispatch must look them up per call
+    name = kind.replace("-", "_") + "_times"
+    kernel = getattr(harness, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, name, counting)
+    strategy = StrategySpec.parse("grouped-2" if kind == "grouped" else kind)
+    allocation = STRATEGIES[kind].allocations[0]
+    run_trials(plan(m=4, strategy=strategy, allocation=allocation, speeds=MIXED, trials=100))
+    assert calls == [(100, 4)]
 
 
 def test_run_trials_deterministic_repeat():

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coopsearch.harness import StrategySpec
 from coopsearch.model import _BLOCK_ENTRIES, AgentProfile, RegionSpec, SolutionPlacement
 from coopsearch.simulation import (
     GroupingPolicy,
-    StrategySpec,
     TrialOutcome,
     TrialSetup,
     grouped_times,
-    meeting_split,
     no_overtake_condition,
     one_directional_times,
     proportional_times,
@@ -96,25 +95,6 @@ def test_two_directional_examples():
     # symmetric meeting: both arrive at t=500, tie goes to the lower id
     out = simulate_two_directional(make_setup([0, 500], [1, 1], 750, TWO))
     assert out == TrialOutcome(500.0, 0)
-
-
-def test_meeting_split_examples():
-    assert meeting_split(300, 1, 1) == (150.0, 150.0)
-    assert meeting_split(400, 1, 3) == (100.0, 300.0)
-    assert meeting_split(0, 2, 7) == (0.0, 0.0)
-
-
-@given(
-    st.floats(min_value=0, max_value=1e6),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_meeting_split_properties(gap, vl, vr):
-    left, right = meeting_split(gap, vl, vr)
-    assert math.isclose(left + right, gap, rel_tol=1e-15, abs_tol=0.0) or left + right == gap
-    # scaling both speeds leaves the split unchanged
-    left2, right2 = meeting_split(gap, 7 * vl, 7 * vr)
-    assert math.isclose(left, left2, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_grouped_pooled_rate():
