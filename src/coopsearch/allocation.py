@@ -1,23 +1,14 @@
-"""Division of the circular region into per-agent subregions, and the length laws they induce."""
+"""Region divisions: semi-equal boundary points and the subregion-length law of each division."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import RegionSpec
-
 __all__ = [
-    "Arc",
-    "Allocation",
     "LengthDistribution",
-    "allocate_equal",
-    "allocate_semi_equal",
-    "allocate_random",
-    "allocate_proportional",
     "semi_equal_starts",
     "length_pmf_equal",
     "length_pmf_semi_equal",
@@ -25,94 +16,10 @@ __all__ = [
     "spacing_pmf_oracle",
 ]
 
-_SUM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Arc:
-    """One agent's subregion: starts at `start`, extends `length` in the positive direction."""
-
-    agent_id: int
-    start: float
-    length: float
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A partition of the circle into arcs, one per agent."""
-
-    region: RegionSpec
-    arcs: tuple[Arc, ...]
-
-    def __post_init__(self) -> None:
-        if not self.arcs:
-            raise ValueError("allocation needs at least one arc")
-        L = self.region.length
-        ids = set()
-        for arc in self.arcs:
-            if arc.agent_id in ids:
-                raise ValueError(f"duplicate agent_id {arc.agent_id} in allocation")
-            ids.add(arc.agent_id)
-            self.region.require(arc.start, f"arc start for agent {arc.agent_id}")
-            if not (math.isfinite(arc.length) and 0 <= arc.length <= L * (1 + _SUM_TOL)):
-                raise ValueError(f"arc length {arc.length!r} outside [0, {L}]")
-        total = math.fsum(a.length for a in self.arcs)
-        if abs(total - L) > _SUM_TOL * L:
-            raise ValueError(f"arc lengths sum to {total!r}, expected {L}")
-        # nonoverlap: each arc must stop by its clockwise successor's start
-        ordered = sorted(self.arcs, key=lambda a: a.start)
-        for i, arc in enumerate(ordered):
-            nxt = ordered[(i + 1) % len(ordered)]
-            gap = (nxt.start - arc.start) % L
-            if len(ordered) == 1:
-                gap = L
-            if arc.length > gap + _SUM_TOL * L:
-                raise ValueError(
-                    f"arc of agent {arc.agent_id} (start {arc.start}, length {arc.length}) "
-                    f"overlaps arc of agent {nxt.agent_id} (start {nxt.start})"
-                )
-
-    def lengths(self) -> np.ndarray:
-        return np.array([a.length for a in self.arcs], dtype=float)
-
-    def owner_of(self, position: float) -> int:
-        """Agent whose arc contains `position`; arcs are half-open [start, start+length)."""
-        self.region.require(position, "position")
-        L = self.region.length
-        for arc in self.arcs:
-            if arc.length > 0 and (position - arc.start) % L < arc.length:
-                return arc.agent_id
-        # x can fall in a sliver left by float rounding; charge it to the nearest arc start
-        best = min(self.arcs, key=lambda a: (position - a.start) % L)
-        return best.agent_id
-
 
 def _require_agent_count(m: int) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"agent count must be a positive integer, got {m!r}")
-
-
-def _gaps_to_successor(starts: np.ndarray, length: float) -> np.ndarray:
-    """For each start, distance to the next start clockwise (the full circle for a single point)."""
-    starts = np.asarray(starts, dtype=float)
-    if starts.size == 1:
-        return np.array([length])
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    gaps_sorted = np.empty_like(s)
-    gaps_sorted[:-1] = np.diff(s)
-    gaps_sorted[-1] = length - s[-1] + s[0]
-    gaps = np.empty_like(s)
-    gaps[order] = gaps_sorted
-    return gaps
-
-
-def allocate_equal(region: RegionSpec, m: int) -> Allocation:
-    """m arcs of identical length L/m, laid head to tail from 0."""
-    _require_agent_count(m)
-    step = region.length / m
-    arcs = tuple(Arc(i, i * step, step) for i in range(m))
-    return Allocation(region, arcs)
 
 
 def semi_equal_starts(length: float, m: int) -> list[float]:
@@ -134,40 +41,6 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
     return starts
 
 
-def allocate_semi_equal(region: RegionSpec, m: int) -> Allocation:
-    """Halving allocation: arc lengths take at most two values, L/2^n and L/2^(n+1)."""
-    starts = np.array(semi_equal_starts(region.length, m))
-    gaps = _gaps_to_successor(starts, region.length)
-    arcs = tuple(Arc(i, float(starts[i]), float(gaps[i])) for i in range(m))
-    return Allocation(region, arcs)
-
-
-def allocate_random(region: RegionSpec, m: int, seed) -> Allocation:
-    """Independent uniform starting points; each agent owns the gap to the next start."""
-    _require_agent_count(m)
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, region.length, m)
-    gaps = _gaps_to_successor(starts, region.length)
-    arcs = tuple(Arc(i, float(starts[i]), float(gaps[i])) for i in range(m))
-    return Allocation(region, arcs)
-
-
-def allocate_proportional(region: RegionSpec, speeds: Sequence[float]) -> Allocation:
-    """Arc lengths proportional to speed, laid head to tail from 0.
-
-    Every agent then needs the same time L / sum(speeds) to sweep its arc.
-    """
-    v = np.asarray(list(speeds), dtype=float)
-    if v.size == 0:
-        raise ValueError("need at least one speed")
-    if not np.all(np.isfinite(v) & (v > 0)):
-        raise ValueError(f"speeds must be finite and positive, got {v!r}")
-    lengths = v * (region.length / v.sum())
-    edges = np.concatenate([[0.0], np.cumsum(lengths)])[:-1]
-    arcs = tuple(Arc(i, float(edges[i]), float(lengths[i])) for i in range(v.size))
-    return Allocation(region, arcs)
-
-
 @dataclass(frozen=True)
 class LengthDistribution:
     """Probability law of subregion length.
@@ -178,12 +51,9 @@ class LengthDistribution:
 
     values: tuple[float, ...]
     masses: tuple[float, ...]
-    kind: str
     bin_width: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "estimated"):
-            raise ValueError(f"kind must be 'exact' or 'estimated', got {self.kind!r}")
         if len(self.values) != len(self.masses) or not self.values:
             raise ValueError("values and masses must be equal-length and non-empty")
         if any(not math.isfinite(v) or v < 0 for v in self.values):
@@ -206,17 +76,10 @@ class LengthDistribution:
     def masses_array(self) -> np.ndarray:
         return np.array(self.masses, dtype=float)
 
-    def mass_at(self, value: float, tol: float = 1e-9) -> float:
-        """Total mass at atoms matching `value` (exact laws; estimated bins use edges)."""
-        return math.fsum(p for v, p in zip(self.values, self.masses) if abs(v - value) <= tol)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support_values(), self.masses_array()))
-
 
 def length_pmf_equal(region_length: float, m: int) -> LengthDistribution:
     _require_agent_count(m)
-    return LengthDistribution((region_length / m,), (1.0,), "exact")
+    return LengthDistribution((region_length / m,), (1.0,))
 
 
 def length_pmf_semi_equal(region_length: float, m: int) -> LengthDistribution:
@@ -228,13 +91,12 @@ def length_pmf_semi_equal(region_length: float, m: int) -> LengthDistribution:
     _require_agent_count(m)
     n = m.bit_length() - 1  # 2^n <= m < 2^(n+1)
     if m == 2**n:
-        return LengthDistribution((region_length / 2**n,), (1.0,), "exact")
+        return LengthDistribution((region_length / 2**n,), (1.0,))
     long_count = 2 ** (n + 1) - m
     short_count = 2 * (m - 2**n)
     return LengthDistribution(
         (region_length / 2**n, region_length / 2 ** (n + 1)),
         (long_count / m, short_count / m),
-        "exact",
     )
 
 
@@ -266,7 +128,6 @@ def estimate_length_pmf(
     return LengthDistribution(
         tuple(float(k) for k in range(nbins)),
         tuple(masses.tolist()),
-        "estimated",
         bin_width=1.0,
     )
 
@@ -287,6 +148,5 @@ def spacing_pmf_oracle(region_length: float, m: int) -> LengthDistribution:
     return LengthDistribution(
         tuple(float(v) for v in k),
         tuple(masses.tolist()),
-        "exact",
         bin_width=1.0,
     )

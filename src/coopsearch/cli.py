@@ -21,6 +21,7 @@ from . import __version__
 from .allocation import estimate_length_pmf, spacing_pmf_oracle
 from .harness import (
     STRATEGIES,
+    StrategySpec,
     TrialPlan,
     closed_form,
     compare_strategies,
@@ -244,6 +245,17 @@ def parse_config(argv=None) -> ExperimentConfig:
         raise CliError(str(e)) from None
 
 
+def _canonical(token: str, allocation: str | None = None) -> tuple[str, StrategySpec, str]:
+    """A method token's canonical name, strategy and allocation.
+
+    An allocation name stays as it is; a strategy is named by its StrategySpec,
+    so grouped_03 and grouped-+3 both become grouped-3.
+    """
+    strategy, allocation = resolve_method(token, allocation)
+    name = method_name(token)
+    return (name if name == allocation else str(strategy)), strategy, allocation
+
+
 def _validated(ns) -> ExperimentConfig:
     command = ns.command
     region_length = RegionSpec(float(ns.region_length)).length
@@ -265,7 +277,7 @@ def _validated(ns) -> ExperimentConfig:
         if trials < 1 or seed < 0:
             raise CliError(f"pl-hist needs --trials >= 1 and --seed >= 0, got {trials} and {seed}")
     elif command == "compare":
-        targets = tuple((method_name(token), m) for token, m in targets)
+        targets = tuple((_canonical(token)[0], m) for token, m in targets)
     else:
         agents = agents or tuple(range(2, 33))
         if command == "simulate" and len(agents) != 1:
@@ -276,10 +288,7 @@ def _validated(ns) -> ExperimentConfig:
             if len(speeds) != 1:
                 raise CliError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
             speeds = SpeedDistribution.point_mass(speeds[0])
-        method = method_name(method)
-        strategy, allocation = resolve_method(method, allocation)
-        if method != allocation:
-            method = str(strategy)  # canonical name, e.g. grouped-3; allocation names stay
+        method, strategy, allocation = _canonical(method, allocation)
         if command == "expected" and allocation not in STRATEGIES[strategy.kind].closed_forms:
             raise CliError(f"no closed form for strategy {method!r}; use `coopsearch simulate` for it")
 
@@ -385,10 +394,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> OutputRecord:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> OutputRecord:
-    result = sweep_m(_plan(cfg, cfg.method, cfg.agents[0]), cfg.agents, workers=cfg.workers)
     columns = STAT_COLUMNS + (("analytic",) if cfg.with_analytic else ())
     rows = []
-    for m, stats in result.entries:
+    template = _plan(cfg, cfg.method, cfg.agents[0])
+    for m, stats in sweep_m(template, cfg.agents, workers=cfg.workers):
         row = _stat_row(cfg.method, m, stats, cfg.seed)
         if cfg.with_analytic:
             row += (closed_form(_plan(cfg, cfg.method, m)),)
@@ -405,7 +414,7 @@ def cmd_compare(cfg: ExperimentConfig) -> OutputRecord:
         base_seed=cfg.seed,
         workers=cfg.workers,
     )
-    rows = tuple(_stat_row(row.method, row.m, row.stats, cfg.seed) for row in table)
+    rows = tuple(_stat_row(method, m, stats, cfg.seed) for method, m, stats in table)
     return OutputRecord(columns=STAT_COLUMNS, rows=rows, config_line=_config_line(cfg))
 
 

@@ -41,8 +41,6 @@ __all__ = [
     "StrategySpec",
     "TrialPlan",
     "SummaryStats",
-    "SweepResult",
-    "CompareRow",
     "method_name",
     "resolve_method",
     "closed_form",
@@ -154,9 +152,9 @@ class TrialPlan:
     """Everything needed to reproduce one Monte-Carlo estimate.
 
     `speeds` is either a SpeedDistribution (redrawn i.i.d. per trial) or a fixed
-    tuple of speeds (length m, or length 1 to share one speed).  `seed_stream`
-    separates substreams of the same base seed; it defaults to m so sweep points
-    stay decoupled no matter which subsets are run.
+    tuple of speeds (length m, or length 1 to share one speed).  The agent count
+    is the seed stream, so sweep points stay decoupled no matter which subsets
+    are run.
     """
 
     region: RegionSpec
@@ -166,7 +164,6 @@ class TrialPlan:
     speeds: SpeedDistribution | tuple[float, ...]
     trials: int
     base_seed: int = 0
-    seed_stream: int | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 1):
@@ -180,10 +177,6 @@ class TrialPlan:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
-        if self.seed_stream is not None and not (
-            isinstance(self.seed_stream, (int, np.integer)) and self.seed_stream >= 0
-        ):
-            raise ValueError(f"seed_stream must be a non-negative integer, got {self.seed_stream!r}")
         if isinstance(self.speeds, SpeedDistribution):
             return
         if not isinstance(self.speeds, tuple) or not self.speeds:
@@ -218,32 +211,6 @@ class SummaryStats:
             raise ValueError(
                 f"mean {self.mean!r} outside [{self.minimum!r}, {self.maximum!r}]"
             )
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-m statistics for one (strategy, allocation) pair, plus reproduction metadata."""
-
-    strategy: StrategySpec
-    allocation: str
-    entries: tuple[tuple[int, SummaryStats], ...]
-    region_length: float
-    speeds: SpeedDistribution | tuple[float, ...]
-    base_seed: int
-
-    def __post_init__(self) -> None:
-        ms = [m for m, _ in self.entries]
-        if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"m values must be non-empty and strictly increasing, got {ms}")
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    """One line of a strategy-comparison table."""
-
-    method: str
-    m: int
-    stats: SummaryStats
 
 
 def resolve_method(token: str, allocation: str | None = None) -> tuple[StrategySpec, str]:
@@ -281,12 +248,8 @@ def closed_form(plan: TrialPlan) -> float | None:
     return None if form is None else form(plan.region.length, plan.num_agents, law)
 
 
-def _stream(plan: TrialPlan) -> int:
-    return plan.seed_stream if plan.seed_stream is not None else plan.num_agents
-
-
 def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=plan.base_seed, spawn_key=(_stream(plan), chunk_index))
+    ss = np.random.SeedSequence(entropy=plan.base_seed, spawn_key=(plan.num_agents, chunk_index))
     return np.random.default_rng(ss)
 
 
@@ -367,8 +330,10 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
     )
 
 
-def sweep_m(template: TrialPlan, m_values: Sequence[int], workers: int | None = None) -> SweepResult:
-    """run_trials at each m; per-m seed substreams keep points independent and stable."""
+def sweep_m(
+    template: TrialPlan, m_values: Sequence[int], workers: int | None = None
+) -> tuple[tuple[int, SummaryStats], ...]:
+    """(m, stats) for run_trials at each m; per-m seed streams keep points independent and stable."""
     ms = list(m_values)
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError(f"m_values must be non-empty and strictly increasing, got {ms}")
@@ -376,14 +341,7 @@ def sweep_m(template: TrialPlan, m_values: Sequence[int], workers: int | None = 
     for m in ms:
         plan = replace(template, num_agents=m)
         entries.append((m, run_trials(plan, workers=workers)))
-    return SweepResult(
-        strategy=template.strategy,
-        allocation=template.allocation,
-        entries=tuple(entries),
-        region_length=template.region.length,
-        speeds=template.speeds,
-        base_seed=template.base_seed,
-    )
+    return tuple(entries)
 
 
 def compare_strategies(
@@ -393,8 +351,11 @@ def compare_strategies(
     trials: int,
     base_seed: int = 0,
     workers: int | None = None,
-) -> tuple[CompareRow, ...]:
-    """Evaluate (method, m) targets side by side with matched trial counts."""
+) -> tuple[tuple[str, int, SummaryStats], ...]:
+    """Evaluate (method, m) targets side by side with matched trial counts.
+
+    Returns one (method, m, stats) row per target, the method as given.
+    """
     if not targets:
         raise ValueError("compare needs at least one (method, m) target")
     rows = []
@@ -409,5 +370,5 @@ def compare_strategies(
             trials=trials,
             base_seed=base_seed,
         )
-        rows.append(CompareRow(method=method_name(token), m=m, stats=run_trials(plan, workers=workers)))
+        rows.append((token, m, run_trials(plan, workers=workers)))
     return tuple(rows)

@@ -1,4 +1,4 @@
-"""Core value types: the circular region, agents, speed laws, solution placement."""
+"""Core value types: the circular region and the agents' speed law."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "RegionSpec",
-    "AgentProfile",
-    "SpeedDistribution",
-    "SolutionPlacement",
-    "wrap_distance",
-]
+__all__ = ["RegionSpec", "SpeedDistribution"]
 
 # entries per block in the speed draw and the batch kernels: 512 KB per float64
 # temporary, which keeps a block's working set in cache
@@ -37,38 +31,6 @@ class RegionSpec:
         if not (math.isfinite(position) and self.contains(position)):
             raise ValueError(f"{what} {position!r} outside [0, {self.length})")
         return position
-
-
-def wrap_distance(start: float, target: float, region: RegionSpec) -> float:
-    """Distance from `start` to `target` moving in the positive direction, with wrap.
-
-    Both positions must lie in [0, region.length); the result does too.
-    """
-    L = region.length
-    region.require(start, "start")
-    region.require(target, "target")
-    d = (target - start) % L
-    # float residue can round up to exactly L when the true gap is just below it
-    if d >= L:
-        d = math.nextafter(L, 0.0)
-    return d
-
-
-@dataclass(frozen=True)
-class AgentProfile:
-    """A single searcher: identity, sweep speed, starting position on the circle."""
-
-    agent_id: int
-    speed: float
-    start: float
-
-    def __post_init__(self) -> None:
-        if self.agent_id < 0:
-            raise ValueError(f"agent_id must be non-negative, got {self.agent_id}")
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(f"agent speed must be finite and positive, got {self.speed!r}")
-        if not (math.isfinite(self.start) and self.start >= 0):
-            raise ValueError(f"agent start must be finite and non-negative, got {self.start!r}")
 
 
 @dataclass(frozen=True)
@@ -137,18 +99,3 @@ class SpeedDistribution:
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1
-
-
-@dataclass(frozen=True)
-class SolutionPlacement:
-    """Where the sought solution sits on the circle."""
-
-    position: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.position) and self.position >= 0):
-            raise ValueError(f"solution position must be finite and non-negative, got {self.position!r}")
-
-    @classmethod
-    def sample(cls, region: RegionSpec, rng: np.random.Generator) -> "SolutionPlacement":
-        return cls(float(rng.uniform(0.0, region.length)))

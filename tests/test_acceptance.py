@@ -13,22 +13,20 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import oracles
 from coopsearch.allocation import (
-    allocate_proportional,
-    allocate_semi_equal,
     estimate_length_pmf,
     length_pmf_semi_equal,
+    semi_equal_starts,
     spacing_pmf_oracle,
 )
 from coopsearch.analytics import (
-    expected_time_equal,
     expected_time_proportional_resampled,
     expected_time_random_starts,
-    expected_time_semi_equal,
     mean_inverse_speed,
 )
 from coopsearch.cli import main
-from coopsearch.harness import TrialPlan, resolve_method, run_trials
+from coopsearch.harness import TrialPlan, closed_form, resolve_method, run_trials
 from coopsearch.model import RegionSpec, SpeedDistribution
 from coopsearch.simulation import proportional_times
 
@@ -37,6 +35,11 @@ REGION = RegionSpec(L)
 TRIALS = 1_000_000
 MIXED = SpeedDistribution(((0.5, 0.3), (1.0, 0.3), (1.375, 0.4)))
 UNIT = SpeedDistribution.point_mass(1.0)
+
+
+def closed_unit(token: str, m: int) -> float:
+    """The closed-form mean for unit-speed agents, as `coopsearch expected` gives it."""
+    return closed_form(TrialPlan(REGION, m, *resolve_method(token), UNIT, 1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -69,13 +72,13 @@ def test_criterion_2_semi_equal(criterion_report):
             count = mass * m
             assert math.isclose(count, round(count), abs_tol=1e-9)
             want[value] = round(count)
-        got = Counter(float(a.length) for a in allocate_semi_equal(REGION, m).arcs)
+        got = Counter(oracles.successor_gaps(semi_equal_starts(L, m), L))
         assert got == want, f"m={m}"
 
     # analytic ordering against the even split, equality exactly at powers of two
     for m in range(1, 65):
-        semi = expected_time_semi_equal(L, m, 1.0)
-        even = expected_time_equal(L, m, 1.0)
+        semi = closed_unit("semi-equal", m)
+        even = closed_unit("equal", m)
         if m & (m - 1) == 0:
             assert semi == even, f"m={m}"
         else:
@@ -85,7 +88,7 @@ def test_criterion_2_semi_equal(criterion_report):
     worst_m = None
     for m in (3, 4, 5, 6, 10, 16, 24):
         stats = sim("semi-equal", m, "unit")
-        want = expected_time_semi_equal(L, m, 1.0)
+        want = closed_unit("semi-equal", m)
         rel = abs(stats.mean - want) / want
         if rel > worst:
             worst, worst_m = rel, m
@@ -151,9 +154,14 @@ def test_criterion_5_proportional(criterion_report):
     for _ in range(50):
         m = int(rng.integers(1, 12))
         v = rng.choice(MIXED.speeds, p=MIXED.masses, size=m)
-        alloc = allocate_proportional(REGION, v)
-        finish = alloc.lengths() / v
+        starts, lengths = oracles.proportional_arcs(v, L)
+        finish = np.array(lengths) / v
         assert np.allclose(finish, L / v.sum(), rtol=1e-12, atol=0.0)
+        # the kernel lays out the same arcs: each owner reaches a point just short
+        # of its arc's end just short of L / sum(v)
+        x = np.array(starts) + (1 - 1e-9) * np.array(lengths)
+        times = proportional_times(np.tile(v, (m, 1)), x, L)
+        assert np.allclose(times, L / v.sum(), rtol=1e-8, atol=0.0)
 
     # the simulated per-trial time never exceeds that bound and comes arbitrarily close
     n = 200_000

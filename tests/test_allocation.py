@@ -8,54 +8,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coopsearch.allocation import (
-    Allocation,
-    Arc,
     LengthDistribution,
-    allocate_equal,
-    allocate_proportional,
-    allocate_random,
-    allocate_semi_equal,
     estimate_length_pmf,
     length_pmf_equal,
     length_pmf_semi_equal,
     semi_equal_starts,
     spacing_pmf_oracle,
 )
+from coopsearch.harness import TrialPlan, _chunk_rng, _fixed_starts, resolve_method
 from coopsearch.model import RegionSpec
+from coopsearch.simulation import grouped_times, proportional_times
 
 R = RegionSpec(1000.0)
 L = 1000.0
 
 
+def equal_starts(m):
+    return list(_fixed_starts(TrialPlan(R, m, *resolve_method("equal"), (1.0,), 1)))
+
+
 def test_allocate_equal():
-    alloc = allocate_equal(R, 4)
-    assert [a.start for a in alloc.arcs] == [0.0, 250.0, 500.0, 750.0]
-    assert all(a.length == 250.0 for a in alloc.arcs)
-    assert allocate_equal(R, 1).arcs[0].length == L
-
-
-def test_allocation_rejects_overlap():
-    with pytest.raises(ValueError):
-        Allocation(R, (Arc(0, 0.0, 600.0), Arc(1, 500.0, 400.0), Arc(2, 900.0, 0.0)))
-
-
-def test_allocation_rejects_bad_total():
-    with pytest.raises(ValueError):
-        Allocation(R, (Arc(0, 0.0, 400.0), Arc(1, 400.0, 400.0)))
-
-
-def test_allocation_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        Allocation(R, (Arc(0, 0.0, 500.0), Arc(0, 500.0, 500.0)))
+    starts = equal_starts(4)
+    assert starts == [0.0, 250.0, 500.0, 750.0]
+    assert oracles.successor_gaps(starts, L) == [250.0] * 4
+    assert oracles.successor_gaps(equal_starts(1), L) == [L]
 
 
 def test_owner_of():
-    alloc = allocate_equal(R, 4)
-    assert alloc.owner_of(0.0) == 0
-    assert alloc.owner_of(249.999) == 0
-    assert alloc.owner_of(250.0) == 1  # boundary belongs to the next arc
-    assert alloc.owner_of(999.5) == 3
+    starts = equal_starts(4)
+    lengths = oracles.successor_gaps(starts, L)
+    assert oracles.arc_owner(starts, lengths, 0.0, L) == 0
+    assert oracles.arc_owner(starts, lengths, 249.999, L) == 0
+    assert oracles.arc_owner(starts, lengths, 250.0, L) == 1  # boundary belongs to the next arc
+    assert oracles.arc_owner(starts, lengths, 999.5, L) == 3
 
 
 def _split_largest_oracle(length: float, m: int) -> list[float]:
@@ -87,8 +74,7 @@ def test_semi_equal_starts_insertion_order():
 def test_semi_equal_lengths_match_pmf_exactly():
     # the realized length multiset is exactly the analytic law, every m
     for m in range(1, 65):
-        alloc = allocate_semi_equal(R, m)
-        realized = Counter(a.length for a in alloc.arcs)
+        realized = Counter(oracles.successor_gaps(semi_equal_starts(L, m), L))
         pmf = length_pmf_semi_equal(L, m)
         predicted = Counter()
         for value, mass in zip(pmf.values, pmf.masses):
@@ -119,59 +105,63 @@ def test_semi_equal_starts_are_distinct_dyadics(m):
     assert all(0.0 <= s < L for s in starts)
 
 
+def random_starts(m, seed):
+    """Chunk 0's start draw for a random-allocation plan."""
+    plan = TrialPlan(R, m, *resolve_method("random"), (1.0,), 1, seed)
+    return _chunk_rng(plan, 0).uniform(0.0, L, m)
+
+
 def test_allocate_random_is_seeded():
-    a = allocate_random(R, 7, 123)
-    b = allocate_random(R, 7, 123)
-    c = allocate_random(R, 7, 124)
-    assert [x.start for x in a.arcs] == [x.start for x in b.arcs]
-    assert [x.start for x in a.arcs] != [x.start for x in c.arcs]
-    assert math.isclose(sum(x.length for x in a.arcs), L, rel_tol=1e-12)
+    a, b, c = random_starts(7, 123), random_starts(7, 123), random_starts(7, 124)
+    assert list(a) == list(b)
+    assert list(a) != list(c)
+    assert math.isclose(sum(oracles.successor_gaps(list(a), L)), L, rel_tol=1e-12)
 
 
 def test_allocate_random_gap_structure():
-    alloc = allocate_random(R, 5, 99)
+    starts = random_starts(5, 99)
+    gaps = np.array(oracles.successor_gaps(list(starts), L))
     # each arc runs exactly to the next start clockwise
-    for arc in alloc.arcs:
-        others = [a.start for a in alloc.arcs if a.agent_id != arc.agent_id]
-        nearest = min((s - arc.start) % L for s in others)
-        assert math.isclose(arc.length, nearest, rel_tol=1e-12)
+    for s, gap in zip(starts, gaps):
+        nearest = min((t - s) % L for t in starts if t != s)
+        assert math.isclose(gap, nearest, rel_tol=1e-12)
+    # which is the region the grouped kernel gives a group of one
+    x = (starts + 0.5 * gaps) % L
+    times = grouped_times(np.tile(starts, (5, 1)), np.ones((5, 5)), x, L, 1)
+    np.testing.assert_allclose(times, 0.5 * gaps, rtol=1e-9)
 
 
 def test_allocate_proportional():
-    alloc = allocate_proportional(R, [1.0, 3.0])
-    assert [a.start for a in alloc.arcs] == [0.0, 250.0]
-    assert [a.length for a in alloc.arcs] == [250.0, 750.0]
-    # every arc takes the same sweep time
-    times = {a.length / v for a, v in zip(alloc.arcs, [1.0, 3.0])}
-    assert len({round(t, 9) for t in times}) == 1
-    with pytest.raises(ValueError):
-        allocate_proportional(R, [])
-    with pytest.raises(ValueError):
-        allocate_proportional(R, [1.0, -2.0])
+    # arcs [0, 250) and [250, 1000) for speeds 1 and 3, each swept in L / sum(v) = 250
+    x = np.array([0.0, 249.999, 250.0, np.nextafter(L, 0.0)])
+    times = proportional_times(np.tile([1.0, 3.0], (4, 1)), x, L)
+    np.testing.assert_allclose(times, [0.0, 249.999, 0.0, 250.0], rtol=1e-12)
+    assert oracles.proportional_arcs([1.0, 3.0], L) == ([0.0, 250.0], [250.0, 750.0])
+    with pytest.raises(ValueError):  # speeds are checked where the plan is built
+        TrialPlan(R, 2, *resolve_method("proportional"), (1.0, -2.0), 1)
 
 
 def test_length_pmf_equal():
     pmf = length_pmf_equal(L, 8)
     assert pmf.values == (125.0,)
     assert pmf.masses == (1.0,)
-    assert pmf.kind == "exact"
 
 
 def test_length_distribution_validation():
     with pytest.raises(ValueError):
-        LengthDistribution((1.0,), (0.5,), "exact")  # mass short of 1
+        LengthDistribution((1.0,), (0.5,))  # mass short of 1
     with pytest.raises(ValueError):
-        LengthDistribution((1.0, 2.0), (1.0,), "exact")
+        LengthDistribution((1.0, 2.0), (1.0,))
     with pytest.raises(ValueError):
-        LengthDistribution((1.0,), (1.0,), "histogram")
+        LengthDistribution((1.0,), (1.0,), bin_width=0.0)
     with pytest.raises(ValueError):
-        LengthDistribution((-1.0,), (1.0,), "exact")
+        LengthDistribution((-1.0,), (1.0,))
 
 
 def test_length_distribution_midpoint_support():
-    pmf = LengthDistribution((0.0, 1.0), (0.5, 0.5), "estimated", bin_width=1.0)
+    pmf = LengthDistribution((0.0, 1.0), (0.5, 0.5), bin_width=1.0)
     np.testing.assert_allclose(pmf.support_values(), [0.5, 1.5])
-    assert pmf.mean() == 1.0
+    assert np.dot(pmf.support_values(), pmf.masses_array()) == 1.0
 
 
 def test_spacing_pmf_oracle_m2_uniform():
@@ -203,13 +193,13 @@ def test_estimate_length_pmf_deterministic():
     b = estimate_length_pmf(L, 5, 20_000, 42)
     assert a == b
     assert math.isclose(math.fsum(a.masses), 1.0, rel_tol=1e-9)
-    assert a.kind == "estimated" and a.bin_width == 1.0
+    assert a.bin_width == 1.0
 
 
 def test_estimate_length_pmf_mean_tracks_oracle():
     for m in (2, 10):
         est = estimate_length_pmf(L, m, 50_000, 3)
-        assert abs(est.mean() - L / m) < 2.0
+        assert abs(np.dot(est.support_values(), est.masses_array()) - L / m) < 2.0
 
 
 def test_estimate_length_pmf_matches_oracle_loosely():

@@ -2,30 +2,38 @@
 
 import math
 
-import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coopsearch.allocation import length_pmf_equal, length_pmf_semi_equal
+import oracles
+from coopsearch.allocation import length_pmf_equal, length_pmf_semi_equal, semi_equal_starts
 from coopsearch.analytics import (
-    JointSpeedLengthPmf,
-    expected_time_equal,
     expected_time_independent,
-    expected_time_joint,
-    expected_time_proportional,
     expected_time_proportional_resampled,
     expected_time_random_starts,
-    expected_time_semi_equal,
     mean_inverse_speed,
     second_moment,
-    solution_in_region_prob,
     speed_sum_inverse_mean,
 )
-from coopsearch.model import SpeedDistribution
+from coopsearch.harness import TrialPlan, closed_form, resolve_method
+from coopsearch.model import RegionSpec, SpeedDistribution
+from coopsearch.simulation import proportional_times
 
 L = 1000.0
 MIXED = SpeedDistribution(((0.5, 0.3), (1.0, 0.3), (1.375, 0.4)))
 UNIT = SpeedDistribution.point_mass(1.0)
+
+
+def closed(method, m, speed=1.0, length=L):
+    """The STRATEGIES table's closed form for `method` with m agents of one shared speed."""
+    plan = TrialPlan(RegionSpec(length), m, *resolve_method(method), (speed,), 1)
+    return closed_form(plan)
+
+
+def solution_in_region_prob(pmf, m, length):
+    """Chance that the solution lands in a subregion of the given length: m * P(l) * l / L."""
+    return m * math.fsum(p for v, p in zip(pmf.values, pmf.masses) if v == length) * length / L
 
 
 def test_mean_inverse_speed_mixed_profile():
@@ -48,52 +56,55 @@ def test_second_moment_hand_values():
 
 def test_solution_in_region_prob():
     semi3 = length_pmf_semi_equal(L, 3)
-    assert math.isclose(solution_in_region_prob(semi3, 3, L, 500.0), 0.5, rel_tol=1e-12)
-    assert math.isclose(solution_in_region_prob(semi3, 3, L, 250.0), 0.5, rel_tol=1e-12)
-    assert solution_in_region_prob(semi3, 3, L, 111.0) == 0.0
+    assert math.isclose(solution_in_region_prob(semi3, 3, 500.0), 0.5, rel_tol=1e-12)
+    assert math.isclose(solution_in_region_prob(semi3, 3, 250.0), 0.5, rel_tol=1e-12)
+    assert solution_in_region_prob(semi3, 3, 111.0) == 0.0
+    # the law's hit chances are the shares of the circle the halving starts give each length
+    for m in (3, 5, 10, 23):
+        pmf = length_pmf_semi_equal(L, m)
+        gaps = oracles.successor_gaps(semi_equal_starts(L, m), L)
+        for value in pmf.values:
+            share = math.fsum(g for g in gaps if g == value) / L
+            assert math.isclose(solution_in_region_prob(pmf, m, value), share, rel_tol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=200))
 def test_region_probabilities_total_one(m):
     pmf = length_pmf_semi_equal(L, m)
-    total = math.fsum(solution_in_region_prob(pmf, m, L, v) for v in pmf.values)
+    total = math.fsum(solution_in_region_prob(pmf, m, v) for v in pmf.values)
     assert math.isclose(total, 1.0, rel_tol=1e-12)
 
 
 def test_joint_product_matches_independent_form():
+    # the joint form m/(2L) * sum p(v, l) l^2 / v over the product law factorizes
     for m in (2, 5, 10):
         pmf = length_pmf_semi_equal(L, m)
-        joint = JointSpeedLengthPmf.product(MIXED, pmf)
+        joint = math.fsum(
+            pv * pl * l * l / v for v, pv in MIXED.atoms for l, pl in zip(pmf.values, pmf.masses)
+        )
         assert math.isclose(
-            expected_time_joint(joint, m, L),
+            m / (2.0 * L) * joint,
             expected_time_independent(MIXED, pmf, m, L),
             rel_tol=1e-12,
         )
 
 
-def test_joint_pmf_validation():
-    with pytest.raises(ValueError):
-        JointSpeedLengthPmf(((1.0, 10.0, 0.5),))
-    with pytest.raises(ValueError):
-        JointSpeedLengthPmf(((0.0, 10.0, 1.0),))
-
-
 def test_expected_time_equal():
-    assert expected_time_equal(L, 4, 1.0) == 125.0
-    assert expected_time_equal(L, 10, 1.0) == 50.0
-    assert expected_time_equal(L, 10, 2.0) == 25.0
+    assert closed("equal", 4) == 125.0
+    assert closed("equal", 10) == 50.0
+    assert closed("equal", 10, speed=2.0) == 25.0
 
 
 def test_expected_time_semi_equal_hand_values():
-    assert expected_time_semi_equal(L, 3, 1.0) == 187.5
-    assert expected_time_semi_equal(L, 5, 1.0) == 109.375
-    assert expected_time_semi_equal(L, 10, 1.0) == 54.6875
+    assert closed("semi-equal", 3) == 187.5
+    assert closed("semi-equal", 5) == 109.375
+    assert closed("semi-equal", 10) == 54.6875
 
 
 def test_semi_equal_dominates_equal():
     for m in range(1, 65):
-        semi = expected_time_semi_equal(L, m, 1.0)
-        equal = expected_time_equal(L, m, 1.0)
+        semi = closed("semi-equal", m)
+        equal = closed("equal", m)
         if m & (m - 1) == 0:  # power of two
             assert semi == equal
         else:
@@ -105,8 +116,8 @@ def test_expected_time_random_starts():
     assert math.isclose(expected_time_random_starts(L, 19, UNIT), 50.0, rel_tol=1e-12)
     assert math.isclose(expected_time_random_starts(L, 31, UNIT), 31.25, rel_tol=1e-12)
     # the two homogeneous equivalences: random needs roughly twice the agents
-    assert expected_time_random_starts(L, 19, UNIT) == expected_time_equal(L, 10, 1.0)
-    assert expected_time_random_starts(L, 31, UNIT) == expected_time_equal(L, 16, 1.0)
+    assert expected_time_random_starts(L, 19, UNIT) == closed("equal", 10)
+    assert expected_time_random_starts(L, 31, UNIT) == closed("equal", 16)
 
 
 def test_expected_time_random_starts_heterogeneous():
@@ -115,10 +126,13 @@ def test_expected_time_random_starts_heterogeneous():
 
 
 def test_expected_time_proportional():
-    assert expected_time_proportional(L, [1.0, 3.0]) == 125.0
-    assert expected_time_proportional(L, [1.0]) == 500.0
-    with pytest.raises(ValueError):
-        expected_time_proportional(L, [])
+    # fixed speeds: every point is found by L / sum(v), uniformly, so the mean is
+    # L / (2 sum(v)); the kernel's times are linear on each arc, so the midpoint
+    # rule over unit bins (arc ends fall on bin edges) gives that mean exactly
+    x = np.arange(1000) + 0.5
+    for speeds, want in (([1.0, 3.0], 125.0), ([1.0], 500.0)):
+        times = proportional_times(np.tile(speeds, (x.size, 1)), x, L)
+        assert math.isclose(times.mean(), want, rel_tol=1e-12)
 
 
 def test_speed_sum_inverse_mean_single_draw():
@@ -156,7 +170,7 @@ def test_expected_time_proportional_resampled():
     # point-mass speeds reduce to the equal-division value
     assert math.isclose(
         expected_time_proportional_resampled(L, SpeedDistribution.point_mass(1.0), 10),
-        expected_time_equal(L, 10, 1.0),
+        closed("equal", 10),
         rel_tol=1e-12,
     )
     # resampling penalty: mean of L/(2 S) exceeds L/(2 E(S)) by Jensen
@@ -172,8 +186,10 @@ def test_expected_time_proportional_resampled():
 )
 def test_expected_times_scale_linearly_in_length(length, m, c):
     # all closed forms are homogeneous of degree 1 in L
-    for f in (expected_time_equal, expected_time_semi_equal):
-        assert math.isclose(f(c * length, m, 1.0), c * f(length, m, 1.0), rel_tol=1e-9)
+    for method in ("equal", "semi-equal"):
+        assert math.isclose(
+            closed(method, m, length=c * length), c * closed(method, m, length=length), rel_tol=1e-9
+        )
     assert math.isclose(
         expected_time_random_starts(c * length, m, MIXED),
         c * expected_time_random_starts(length, m, MIXED),

@@ -204,3 +204,17 @@ def test_parse_config_normalizes_tokens():
     assert cfg.allocation == "semi-equal"
     cfg = parse_config(["compare", "--targets", "grouped_3:6"] + FAST)
     assert cfg.targets == (("grouped-3", 6),)
+
+
+def test_compare_labels_match_simulate(tmp_path):
+    # compare names a strategy as simulate and sweep do: grouped-03 and grouped-+3 are grouped-3
+    argv = ["compare", "--targets", "grouped-03:6,grouped-+3:6,Semi_Equal:4"] + FAST
+    text = run_to_file(argv, tmp_path / "c.csv")
+    assert [(row["strategy"], row["m"]) for row in table_of(text)] == [
+        ("grouped-3", "6"),
+        ("grouped-3", "6"),
+        ("semi-equal", "4"),
+    ]
+    assert "--targets grouped-3:6,grouped-3:6,semi-equal:4" in " ".join(config_line_of(text))
+    argv = ["simulate", "--agents", "6", "--strategy", "grouped-03"] + FAST
+    assert table_of(run_to_file(argv, tmp_path / "s.csv"))[0]["strategy"] == "grouped-3"

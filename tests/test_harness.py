@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from coopsearch import harness
 from coopsearch.analytics import expected_time_random_starts
 from coopsearch.harness import (
@@ -29,8 +30,8 @@ UNIT = (1.0,)
 ONE = StrategySpec("one-directional")
 
 
-def plan(m=10, strategy=ONE, allocation="equal", speeds=UNIT, trials=20_000, seed=0, **kw):
-    return TrialPlan(R, m, strategy, allocation, speeds, trials, seed, **kw)
+def plan(m=10, strategy=ONE, allocation="equal", speeds=UNIT, trials=20_000, seed=0):
+    return TrialPlan(R, m, strategy, allocation, speeds, trials, seed)
 
 
 def test_plan_validation():
@@ -185,10 +186,10 @@ def test_summary_stats_invariants():
 def test_sweep_m_matches_individual_runs():
     template = plan(m=2, allocation="random", speeds=MIXED, trials=30_000)
     sweep = sweep_m(template, [2, 5, 9])
-    assert [m for m, _ in sweep.entries] == [2, 5, 9]
+    assert [m for m, _ in sweep] == [2, 5, 9]
     # each point identical to a standalone run at that m: seed substreams decouple them
     solo = run_trials(replace(template, num_agents=5))
-    assert dict(sweep.entries)[5] == solo
+    assert dict(sweep)[5] == solo
 
 
 def test_sweep_m_rejects_bad_values():
@@ -203,8 +204,7 @@ def test_sweep_m_rejects_bad_values():
 
 def test_sweep_homogeneous_tracks_oracle():
     template = plan(m=1, trials=60_000)
-    sweep = sweep_m(template, [1, 2, 4, 8])
-    for m, stats in sweep.entries:
+    for m, stats in sweep_m(template, [1, 2, 4, 8]):
         assert abs(stats.mean - L / (2 * m)) < 4 * stats.stderr
 
 
@@ -212,8 +212,7 @@ def test_mean_decreases_with_doubling():
     for token in ("equal", "random", "grouped-2", "proportional"):
         strategy, allocation = resolve_method(token)
         template = TrialPlan(R, 4, strategy, allocation, MIXED, 40_000, 0)
-        sweep = sweep_m(template, [4, 8, 16])
-        entries = dict(sweep.entries)
+        entries = dict(sweep_m(template, [4, 8, 16]))
         for a, b in ((4, 8), (8, 16)):
             sa, sb = entries[a], entries[b]
             assert sb.mean < sa.mean + 2 * (sa.ci95 + sb.ci95), token
@@ -221,13 +220,13 @@ def test_mean_decreases_with_doubling():
 
 def test_compare_strategies_rows():
     rows = compare_strategies(R, MIXED, [("grouped-3", 6), ("proportional", 5)], trials=20_000)
-    assert [(r.method, r.m) for r in rows] == [("grouped-3", 6), ("proportional", 5)]
-    assert all(r.stats.trials == 20_000 for r in rows)
+    assert [(method, m) for method, m, _ in rows] == [("grouped-3", 6), ("proportional", 5)]
+    assert all(stats.trials == 20_000 for _, _, stats in rows)
 
 
 def test_compare_homogeneous_equivalence_smoke():
     rows = compare_strategies(R, (1.0,), [("equal", 10), ("random", 19)], trials=150_000)
-    means = [r.stats.mean for r in rows]
+    means = [stats.mean for _, _, stats in rows]
     assert abs(means[0] - means[1]) / means[0] < 0.02
 
 
@@ -235,3 +234,19 @@ def test_one_directional_mean_below_analytic_bound():
     for m in (5, 12):
         stats = run_trials(TrialPlan(R, m, ONE, "random", MIXED, 100_000, 0))
         assert stats.mean <= expected_time_random_starts(L, m, MIXED)
+
+
+@pytest.mark.parametrize("speeds", [MIXED, UNIT], ids=["mixed", "unit"])
+@pytest.mark.parametrize("strategy", [ONE, StrategySpec("two-directional")], ids=str)
+def test_random_start_mean_matches_exact_oracle(strategy, speeds):
+    # overtaking included, so this is an equality up to sampling error, not a bound
+    atoms = speeds.atoms if isinstance(speeds, SpeedDistribution) else ((speeds[0], 1.0),)
+    for m in (1, 2, 10, 23):
+        exact = oracles.random_start_mean(L, atoms, m)
+        if speeds == UNIT:
+            assert math.isclose(exact, L / (m + 1), rel_tol=1e-12)
+        else:
+            assert exact <= expected_time_random_starts(L, m, speeds)
+        stats = run_trials(plan(m=m, strategy=strategy, allocation="random", speeds=speeds, trials=200_000))
+        z = (stats.mean - exact) / stats.stderr
+        assert abs(z) < 4, (m, stats.mean, exact, z)

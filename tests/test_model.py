@@ -1,4 +1,4 @@
-"""Core value types: wrap distance, region/agent/speed-law validation."""
+"""Core value types: wrap distance, region and speed-law validation, the speed draw."""
 
 import math
 
@@ -7,49 +7,42 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coopsearch.model import (
-    _BLOCK_ENTRIES,
-    AgentProfile,
-    RegionSpec,
-    SolutionPlacement,
-    SpeedDistribution,
-    wrap_distance,
-)
+import oracles
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution
+from coopsearch.simulation import one_directional_times
 
-R1000 = RegionSpec(1000.0)
+L = 1000.0
+
+
+def wrap_distance(start, target):
+    """One-directional kernel time of a single unit-speed agent: its wrap distance to the target."""
+    t = one_directional_times(np.array([[start]]), np.array([[1.0]]), np.array([target]), L)[0]
+    assert t == oracles.wrap_distance(start, target, L)
+    return t
 
 
 def test_wrap_distance_basic():
-    assert wrap_distance(0.0, 750.0, R1000) == 750.0
-    assert wrap_distance(750.0, 0.0, R1000) == 250.0
-    assert wrap_distance(333.25, 333.25, R1000) == 0.0
+    assert wrap_distance(0.0, 750.0) == 750.0
+    assert wrap_distance(750.0, 0.0) == 250.0
+    assert wrap_distance(333.25, 333.25) == 0.0
 
 
-def test_wrap_distance_rejects_out_of_region():
-    with pytest.raises(ValueError):
-        wrap_distance(-1.0, 10.0, R1000)
-    with pytest.raises(ValueError):
-        wrap_distance(0.0, 1000.0, R1000)
-    with pytest.raises(ValueError):
-        wrap_distance(0.0, math.nan, R1000)
-
-
-positions = st.floats(min_value=0.0, max_value=1000.0, exclude_max=True, allow_nan=False)
+positions = st.floats(min_value=0.0, max_value=L, exclude_max=True, allow_nan=False)
 
 
 @given(positions, positions)
 def test_wrap_distance_in_range(a, b):
-    d = wrap_distance(a, b, R1000)
-    assert 0.0 <= d < 1000.0
+    d = wrap_distance(a, b)
+    assert 0.0 <= d < L
 
 
 @given(positions, positions)
 def test_wrap_distances_complement(a, b):
     if a == b:
-        assert wrap_distance(a, b, R1000) == 0.0
+        assert wrap_distance(a, b) == 0.0
     else:
-        total = wrap_distance(a, b, R1000) + wrap_distance(b, a, R1000)
-        assert math.isclose(total, 1000.0, rel_tol=1e-12)
+        total = wrap_distance(a, b) + wrap_distance(b, a)
+        assert math.isclose(total, L, rel_tol=1e-12)
 
 
 def test_region_validation():
@@ -58,29 +51,6 @@ def test_region_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             RegionSpec(bad)
-
-
-def test_agent_profile_validation():
-    a = AgentProfile(3, 1.375, 750.0)
-    assert a.agent_id == 3
-    with pytest.raises(ValueError):
-        AgentProfile(-1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        AgentProfile(0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        AgentProfile(0, 1.0, -5.0)
-    with pytest.raises(ValueError):
-        AgentProfile(0, math.inf, 0.0)
-
-
-def test_solution_placement():
-    assert SolutionPlacement(12.5).position == 12.5
-    with pytest.raises(ValueError):
-        SolutionPlacement(-0.5)
-    rng = np.random.default_rng(7)
-    xs = [SolutionPlacement.sample(R1000, rng).position for _ in range(200)]
-    assert all(0.0 <= x < 1000.0 for x in xs)
-    assert min(xs) < 200 and max(xs) > 800  # spread over the region
 
 
 MIXED = SpeedDistribution(((0.5, 0.3), (1.0, 0.3), (1.375, 0.4)))

@@ -7,35 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from coopsearch.allocation import semi_equal_starts
 from coopsearch.harness import StrategySpec
-from coopsearch.model import _BLOCK_ENTRIES, AgentProfile, RegionSpec, SolutionPlacement
+from coopsearch.model import _BLOCK_ENTRIES
 from coopsearch.simulation import (
-    GroupingPolicy,
-    TrialOutcome,
-    TrialSetup,
     grouped_times,
-    no_overtake_condition,
     one_directional_times,
     proportional_times,
-    simulate_grouped,
-    simulate_one_directional,
-    simulate_proportional,
-    simulate_two_directional,
     two_directional_times,
 )
 from coopsearch.simulation import _grouped_block, _proportional_block, _row_blocks
 
-R = RegionSpec(1000.0)
 L = 1000.0
 ONE = StrategySpec("one-directional")
 TWO = StrategySpec("two-directional")
-
-
-def make_setup(starts, speeds, x, strategy):
-    agents = tuple(
-        AgentProfile(i, v, s) for i, (s, v) in enumerate(zip(starts, speeds))
-    )
-    return TrialSetup(R, agents, SolutionPlacement(x), strategy)
 
 
 def test_strategy_spec_parse():
@@ -55,83 +41,39 @@ def test_strategy_spec_parse():
         StrategySpec("grouped", 0)
 
 
-def test_trial_setup_validation():
-    with pytest.raises(ValueError):
-        make_setup([], [], 0.0, ONE)
-    with pytest.raises(ValueError):
-        make_setup([0.0, 1500.0], [1, 1], 0.0, ONE)
-    with pytest.raises(ValueError):
-        make_setup([0.0, 500.0], [1, 1], 10.0, StrategySpec("grouped", 3))
-    with pytest.raises(ValueError):  # duplicate ids
-        TrialSetup(
-            R,
-            (AgentProfile(0, 1, 0.0), AgentProfile(0, 1, 500.0)),
-            SolutionPlacement(1.0),
-            ONE,
-        )
-    with pytest.raises(ValueError):
-        TrialOutcome(-1.0, 0)
-
-
 def test_one_directional_examples():
-    out = simulate_one_directional(make_setup([0, 500], [1, 1], 750, ONE))
-    assert out == TrialOutcome(250.0, 1)
-    out = simulate_one_directional(make_setup([0, 500], [5, 1], 600, ONE))
-    assert out == TrialOutcome(100.0, 1)
+    assert oracles.one_directional([0, 500], [1, 1], 750, L) == (250.0, 1)
+    assert oracles.one_directional([0, 500], [5, 1], 600, L) == (100.0, 1)
     # the fast agent overtakes into its neighbor's arc
-    out = simulate_one_directional(make_setup([0, 500], [5, 1], 900, ONE))
-    assert out == TrialOutcome(180.0, 0)
-
-
-def test_one_directional_rejects_wrong_strategy():
-    with pytest.raises(ValueError):
-        simulate_one_directional(make_setup([0], [1], 0, TWO))
+    assert oracles.one_directional([0, 500], [5, 1], 900, L) == (180.0, 0)
 
 
 def test_two_directional_examples():
-    assert simulate_two_directional(make_setup([0], [2], 10, TWO)).time_to_solution == 10.0
-    out = simulate_two_directional(make_setup([0, 500], [2, 1], 600, TWO))
-    assert out == TrialOutcome(200.0, 1)
+    assert oracles.two_directional([0], [2], 10, L) == (10.0, 0)
+    assert oracles.two_directional([0, 500], [2, 1], 600, L) == (200.0, 1)
     # symmetric meeting: both arrive at t=500, tie goes to the lower id
-    out = simulate_two_directional(make_setup([0, 500], [1, 1], 750, TWO))
-    assert out == TrialOutcome(500.0, 0)
+    assert oracles.two_directional([0, 500], [1, 1], 750, L) == (500.0, 0)
 
 
 def test_grouped_pooled_rate():
-    # one group of everyone: offset 800 at pooled rate 4
-    setup = make_setup([0, 300], [1, 3], 800, StrategySpec("grouped", 2))
-    out = simulate_grouped(setup, GroupingPolicy(2))
-    assert out.time_to_solution == 200.0
-    assert out.finder_group == 0
-    # the solution sits past the first member's proportional share
-    assert out.finder == 1
+    # one group of everyone: offset 800 at pooled rate 4; the solution sits past
+    # the first member's proportional share
+    assert oracles.grouped([0, 300], [1, 3], 800, L, 2) == (200.0, 1)
 
 
 def test_grouped_single_member_groups():
-    setup = make_setup([0, 500], [1, 1], 750, StrategySpec("grouped", 1))
-    out = simulate_grouped(setup, GroupingPolicy(1))
-    assert out == TrialOutcome(250.0, 1, finder_group=1)
+    assert oracles.grouped([0, 500], [1, 1], 750, L, 1) == (250.0, 1)
 
 
 def test_grouped_ragged_last_group():
     # m=3, n=2: groups {0,400} and {700}; regions [0,700) and [700,1000)
-    setup = make_setup([0, 400, 700], [1, 2, 3], 650, StrategySpec("grouped", 2))
-    out = simulate_grouped(setup, GroupingPolicy(2))
-    assert math.isclose(out.time_to_solution, 650 / 3, rel_tol=1e-12)
-    assert out.finder_group == 0
-    assert out.finder == 1  # shares: [0, 233.3) to agent 0, rest to agent 1
+    t, finder = oracles.grouped([0, 400, 700], [1, 2, 3], 650, L, 2)
+    assert math.isclose(t, 650 / 3, rel_tol=1e-12)
+    assert finder == 1  # first group; shares: [0, 233.3) to agent 0, rest to agent 1
 
-    setup = make_setup([0, 400, 700], [1, 2, 3], 800, StrategySpec("grouped", 2))
-    out = simulate_grouped(setup, GroupingPolicy(2))
-    assert math.isclose(out.time_to_solution, 100 / 3, rel_tol=1e-12)
-    assert out.finder_group == 1
-    assert out.finder == 2
-
-
-def test_grouped_policy_mismatch():
-    setup = make_setup([0, 500], [1, 1], 100, StrategySpec("grouped", 2))
-    with pytest.raises(ValueError):
-        simulate_grouped(setup, GroupingPolicy(1))
+    t, finder = oracles.grouped([0, 400, 700], [1, 2, 3], 800, L, 2)
+    assert math.isclose(t, 100 / 3, rel_tol=1e-12)
+    assert finder == 2  # the ragged last group
 
 
 def test_grouped_full_group_time_is_uniform():
@@ -151,28 +93,15 @@ def test_grouped_full_group_time_is_uniform():
 
 
 def test_proportional_examples():
-    out = simulate_proportional(R, [1.0, 3.0], 500.0)
-    assert out.finder == 1
-    assert math.isclose(out.time_to_solution, 250 / 3, rel_tol=1e-12)
-    out = simulate_proportional(R, [1.0, 3.0], 249.999)
-    assert out.finder == 0
-    assert math.isclose(out.time_to_solution, 249.999, rel_tol=1e-12)
-    out = simulate_proportional(R, [2.0], 100.0)
-    assert out == TrialOutcome(50.0, 0)
+    t, finder = oracles.proportional([1.0, 3.0], 500.0, L)
+    assert finder == 1
+    assert math.isclose(t, 250 / 3, rel_tol=1e-12)
+    t, finder = oracles.proportional([1.0, 3.0], 249.999, L)
+    assert finder == 0
+    assert math.isclose(t, 249.999, rel_tol=1e-12)
+    assert oracles.proportional([2.0], 100.0, L) == (50.0, 0)
     # boundary belongs to the next arc
-    assert simulate_proportional(R, [1.0, 3.0], 250.0) == TrialOutcome(0.0, 1)
-
-
-def test_no_overtake_condition():
-    assert no_overtake_condition(1, 1, 10, 10)
-    assert not no_overtake_condition(1, 2.75, 5, 5)
-    assert not no_overtake_condition(1, 2, 0, 5)
-    assert not no_overtake_condition(1, 2, 5, 5)  # bound itself is excluded
-    assert no_overtake_condition(1, 1.9, 5, 5)
-    with pytest.raises(ValueError):
-        no_overtake_condition(0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        no_overtake_condition(1, 1, 5, 0)
+    assert oracles.proportional([1.0, 3.0], 250.0, L) == (0.0, 1)
 
 
 positions = st.floats(min_value=0.0, max_value=L, exclude_max=True, allow_nan=False)
@@ -191,8 +120,8 @@ def trial_inputs(draw, min_agents=1, max_agents=8):
 @given(trial_inputs())
 def test_sweep_time_bounds(inputs):
     starts, speeds, x = inputs
-    t1 = simulate_one_directional(make_setup(starts, speeds, x, ONE)).time_to_solution
-    t2 = simulate_two_directional(make_setup(starts, speeds, x, TWO)).time_to_solution
+    t1, _ = oracles.one_directional(starts, speeds, x, L)
+    t2, _ = oracles.two_directional(starts, speeds, x, L)
     vmin = min(speeds)
     assert t1 <= L / vmin * (1 + 1e-12)
     assert t2 <= L / (vmin / 2) * (1 + 1e-12)
@@ -203,17 +132,43 @@ def test_sweep_time_bounds(inputs):
 def test_homogeneous_no_overtake_finder(m, x):
     # equal speeds, equal arcs: the arc owner always wins
     starts = [i * L / m for i in range(m)]
-    setup = make_setup(starts, [1.0] * m, x, ONE)
-    out = simulate_one_directional(setup)
+    _, finder = oracles.one_directional(starts, [1.0] * m, x, L)
     owner = max(i for i, s in enumerate(starts) if s <= x)
-    assert out.finder == owner
+    assert finder == owner
+
+
+def no_overtake_condition(v_min, v_max, l_min, l_max):
+    """Whether the slowest agent always finishes its arc before the fastest invades:
+    v_max / v_min < (l_min + l_max) / l_max."""
+    return v_max / v_min < (l_min + l_max) / l_max
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.floats(min_value=1.0, max_value=1.45), min_size=12, max_size=12),
+    positions,
+)
+def test_no_overtake_condition(m, speeds, x):
+    # semi-equal arcs take two lengths, l and l/2, so speeds within a factor 1.5
+    # meet the condition and the arc owner finds every solution
+    starts = semi_equal_starts(L, m)
+    speeds = speeds[:m]
+    lengths = oracles.successor_gaps(starts, L)
+    assert no_overtake_condition(min(speeds), max(speeds), min(lengths), max(lengths))
+    t, finder = oracles.one_directional(starts, speeds, x, L)
+    owner = oracles.arc_owner(starts, lengths, x, L)
+    assert finder == owner
+    assert t == oracles.wrap_distance(starts[owner], x, L) / speeds[owner]
+    # past the bound a fast agent overtakes into its neighbor's arc
+    assert not no_overtake_condition(1.0, 5.0, 500.0, 500.0)
+    assert oracles.one_directional([0, 500], [5, 1], 900, L)[1] == 0
 
 
 @given(trial_inputs())
 @settings(max_examples=150)
 def test_one_directional_kernel_matches_scalar(inputs):
     starts, speeds, x = inputs
-    scalar = simulate_one_directional(make_setup(starts, speeds, x, ONE)).time_to_solution
+    scalar, _ = oracles.one_directional(starts, speeds, x, L)
     batch = one_directional_times(
         np.array([starts]), np.array([speeds]), np.array([x]), L
     )
@@ -224,7 +179,7 @@ def test_one_directional_kernel_matches_scalar(inputs):
 @settings(max_examples=150)
 def test_two_directional_kernel_matches_scalar(inputs):
     starts, speeds, x = inputs
-    scalar = simulate_two_directional(make_setup(starts, speeds, x, TWO)).time_to_solution
+    scalar, _ = oracles.two_directional(starts, speeds, x, L)
     batch = two_directional_times(
         np.array([starts]), np.array([speeds]), np.array([x]), L
     )
@@ -239,8 +194,7 @@ def test_grouped_kernel_matches_scalar(inputs, n):
     starts, speeds, x = inputs
     m = len(starts)
     n = min(n, m)
-    setup = make_setup(starts, speeds, x, StrategySpec("grouped", n))
-    scalar = simulate_grouped(setup, GroupingPolicy(n)).time_to_solution
+    scalar, _ = oracles.grouped(starts, speeds, x, L, n)
     batch = grouped_times(np.array([starts]), np.array([speeds]), np.array([x]), L, n)
     assert math.isclose(batch[0], scalar, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -249,7 +203,7 @@ def test_grouped_kernel_matches_scalar(inputs, n):
 @settings(max_examples=150)
 def test_proportional_kernel_matches_scalar(inputs):
     _, speeds, x = inputs
-    scalar = simulate_proportional(R, speeds, x).time_to_solution
+    scalar, _ = oracles.proportional(speeds, x, L)
     batch = proportional_times(np.array([speeds]), np.array([x]), L)
     assert math.isclose(batch[0], scalar, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -264,10 +218,10 @@ def test_kernels_reject_bad_shapes():
 
 
 def test_simulations_are_pure():
-    setup = make_setup([0, 400, 700], [1, 2, 3], 650, StrategySpec("grouped", 2))
-    a = simulate_grouped(setup, GroupingPolicy(2))
-    b = simulate_grouped(setup, GroupingPolicy(2))
-    assert a == b
+    starts, speeds = [0, 400, 700], [1, 2, 3]
+    a = oracles.grouped(starts, speeds, 650, L, 2)
+    assert oracles.grouped(starts, speeds, 650, L, 2) == a
+    assert (starts, speeds) == ([0, 400, 700], [1, 2, 3])
 
 
 # Bit-identity of the row-blocked kernels against the whole-batch wrap formulas
