@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _row_blocks
+
 __all__ = [
     "LengthDistribution",
     "semi_equal_starts",
@@ -100,30 +102,25 @@ def length_pmf_semi_equal(region_length: float, m: int) -> LengthDistribution:
     )
 
 
-def estimate_length_pmf(
-    region_length: float,
-    m: int,
-    trials: int,
-    seed,
-    chunk: int = 65536,
-) -> LengthDistribution:
-    """Monte-Carlo histogram of gap lengths under uniform random starts, unit bins."""
+def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> LengthDistribution:
+    """Monte-Carlo histogram of gap lengths under uniform random starts, unit bins.
+
+    Starts are drawn per row block; uniform draws fill in C order, so the histogram
+    is the one a single (trials, m) draw would give.
+    """
     _require_agent_count(m)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     nbins = math.ceil(region_length)
     counts = np.zeros(nbins, dtype=np.int64)
-    remaining = trials
-    while remaining > 0:
-        n = min(chunk, remaining)
-        s = np.sort(rng.uniform(0.0, region_length, (n, m)), axis=1)
+    for rows in _row_blocks(trials, m):
+        s = np.sort(rng.uniform(0.0, region_length, (rows.stop - rows.start, m)), axis=1)
         gaps = np.empty_like(s)
         gaps[:, :-1] = np.diff(s, axis=1)
         gaps[:, -1] = region_length - s[:, -1] + s[:, 0]
         idx = np.clip(np.floor(gaps).astype(np.int64), 0, nbins - 1)
         counts += np.bincount(idx.ravel(), minlength=nbins)
-        remaining -= n
     masses = counts / counts.sum()
     return LengthDistribution(
         tuple(float(k) for k in range(nbins)),

@@ -192,11 +192,10 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean time with its uncertainty; ci95 is the 95% half-width 1.96 * stderr."""
+    """Mean time with its uncertainty."""
 
     mean: float
     stderr: float
-    ci95: float
     trials: int
     minimum: float
     maximum: float
@@ -204,13 +203,16 @@ class SummaryStats:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if abs(self.ci95 - 1.96 * self.stderr) > 1e-9 * max(1.0, self.ci95):
-            raise ValueError(f"ci95 {self.ci95!r} is not 1.96 * stderr {self.stderr!r}")
         slack = 1e-9 * max(1.0, abs(self.mean))
         if not (self.minimum <= self.mean + slack and self.mean <= self.maximum + slack):
             raise ValueError(
                 f"mean {self.mean!r} outside [{self.minimum!r}, {self.maximum!r}]"
             )
+
+    @property
+    def ci95(self) -> float:
+        """Half-width of the 95% confidence interval, 1.96 * stderr."""
+        return 1.96 * self.stderr
 
 
 def resolve_method(token: str, allocation: str | None = None) -> tuple[StrategySpec, str]:
@@ -319,11 +321,9 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
         var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
     else:
         var = 0.0
-    stderr = math.sqrt(var / n)
     return SummaryStats(
         mean=mean,
-        stderr=stderr,
-        ci95=1.96 * stderr,
+        stderr=math.sqrt(var / n),
         trials=n,
         minimum=min(p[2] for p in partials),
         maximum=max(p[3] for p in partials),

@@ -9,9 +9,16 @@ import numpy as np
 
 __all__ = ["RegionSpec", "SpeedDistribution"]
 
-# entries per block in the speed draw and the batch kernels: 512 KB per float64
-# temporary, which keeps a block's working set in cache
+# entries per block in the speed draw, the batch kernels and the gap histogram:
+# 512 KB per float64 temporary, which keeps a block's working set in cache
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(trials: int, m: int):
+    """Row slices of about _BLOCK_ENTRIES entries, so a block's temporaries stay in cache."""
+    step = max(1, _BLOCK_ENTRIES // m)
+    for lo in range(0, trials, step):
+        yield slice(lo, min(lo + step, trials))
 
 
 @dataclass(frozen=True)
@@ -23,14 +30,6 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"region length must be finite and positive, got {self.length!r}")
-
-    def contains(self, position: float) -> bool:
-        return 0.0 <= position < self.length
-
-    def require(self, position: float, what: str = "position") -> float:
-        if not (math.isfinite(position) and self.contains(position)):
-            raise ValueError(f"{what} {position!r} outside [0, {self.length})")
-        return position
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,6 @@ class SpeedDistribution:
     @property
     def masses(self) -> np.ndarray:
         return np.array([p for _, p in self.atoms], dtype=float)
-
-    def mean(self) -> float:
-        return math.fsum(s * p for s, p in self.atoms)
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """I.i.d. speeds, equal bit for bit to `rng.choice(self.speeds, size, p=self.masses)`

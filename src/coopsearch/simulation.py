@@ -1,16 +1,24 @@
 """Batch kernels: the time to solution of each cooperation strategy over a batch of trials.
 
-Each *_times kernel takes (trials, m) arrays of agent speeds and starts (the
-proportional arcs fix their own starts) and the trials' solution positions, and
-returns one time per trial.  The scalar play-outs they are checked against live
-with the tests, in tests/oracles.py.
+Each *_times kernel takes (trials, m) arrays of agent speeds and starts and the
+trials' solution positions, and returns one time per trial.  They share one
+driver, which checks the batch and runs the kernel's formula per row block of
+about _BLOCK_ENTRIES entries in one reused (rows, m) work array.
+
+Proportional allocation lays speed-proportional arcs head to tail from 0, and
+each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
+arrival over all agents is the owner's; a solution exactly at an arc start is
+found at time 0.  The scalar play-outs the kernels are checked against live with
+the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .model import _BLOCK_ENTRIES
+from .model import _row_blocks
 
 __all__ = [
     "one_directional_times",
@@ -26,26 +34,81 @@ def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
         raise ValueError(f"{what} outside [0, {length})")
 
 
-def _check_batch(starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float) -> None:
-    if starts.ndim != 2 or starts.shape != speeds.shape:
-        raise ValueError(f"starts/speeds must share shape (trials, m), got {starts.shape} and {speeds.shape}")
-    if x.shape != (starts.shape[0],):
-        raise ValueError(f"x must have shape ({starts.shape[0]},), got {x.shape}")
+def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
+    """Check a batch, then fill one time per trial by `block(s, v, x, length, work, out)`
+    per row block; `starts` is None for a kernel that places its own."""
+    if speeds.ndim != 2 or (starts is not None and starts.shape != speeds.shape):
+        shapes = speeds.shape if starts is None else (starts.shape, speeds.shape)
+        raise ValueError(f"starts/speeds must share shape (trials, m), got {shapes}")
+    trials, m = speeds.shape
+    if x.shape != (trials,):
+        raise ValueError(f"x must have shape ({trials},), got {x.shape}")
     if length <= 0:
         raise ValueError(f"region length must be positive, got {length!r}")
     _require_in_region(x, length, "solution positions")
+    blocks = list(_row_blocks(trials, m))
+    # one work array per call: a block's (rows, m) temporaries freed on return are
+    # handed back to the OS and faulted in again for the next block
+    work = np.empty((blocks[0].stop if blocks else 0, m))
+    out = np.empty(trials)
+    for rows in blocks:
+        s = None
+        if starts is not None:
+            s = starts[rows]
+            _require_in_region(s, length, "agent starts")
+        block(s, speeds[rows], x[rows], length, work[: rows.stop - rows.start], out[rows])
+    return out
 
 
-def _row_blocks(trials: int, m: int):
-    """Row slices of about _BLOCK_ENTRIES entries, so a block's temporaries stay in cache."""
-    step = max(1, _BLOCK_ENTRIES // m)
-    for lo in range(0, trials, step):
-        yield slice(lo, min(lo + step, trials))
+def _wrap(d: np.ndarray, length: float) -> None:
+    """`d % length` in place, bit for bit, for |d| < length.  d + length can round up
+    to length, which the clamp turns into the largest offset below it."""
+    d += length * (d < 0)
+    np.minimum(d, np.nextafter(length, 0.0), out=d)
 
 
-def _wrap_offsets(a: np.ndarray, length: float) -> np.ndarray:
-    d = a % length
-    return np.where(d >= length, np.nextafter(length, 0.0), d)
+def _one_directional_block(s, v, x, length, d, out) -> None:
+    np.subtract(x[:, None], s, out=d)
+    _wrap(d, length)
+    d /= v
+    d.min(axis=1, out=out)
+
+
+def _two_directional_block(s, v, x, length, d, out) -> None:
+    # the nearer way round is min(|d|, length - |d|); length - |d| rounds to
+    # length only when |d| is tiny, and then |d| is the minimum anyway
+    np.subtract(x[:, None], s, out=d)
+    np.abs(d, out=d)
+    np.minimum(d, length - d, out=d)
+    d /= 0.5 * v
+    d.min(axis=1, out=out)
+
+
+def _grouped_block(group_size, s, v, x, length, rates, out) -> None:
+    order = np.argsort(s, axis=1, kind="stable")
+    v = np.take_along_axis(v, order, axis=1)
+    bounds = np.take_along_axis(s, order[:, ::group_size], axis=1)  # each group's first start
+    G = bounds.shape[1]
+    # owner group: largest boundary at or before x, wrapping to the last group
+    pos = (bounds <= x[:, None]).sum(axis=1) - 1
+    pos[pos < 0] = G - 1
+    for g in range(G):
+        v[:, g * group_size : (g + 1) * group_size].sum(axis=1, out=rates[:, g])
+    rows = np.arange(len(x))
+    np.subtract(x, bounds[rows, pos], out=out)
+    _wrap(out, length)
+    out /= rates[rows, pos]
+
+
+def _proportional_block(_, v, x, length, d, out) -> None:
+    # arcs of length v * L / sum(v) head to tail from 0; the starts are the running
+    # sums, clamped at L where rounding carries a start past it
+    np.multiply(v, (length / v.sum(axis=1))[:, None], out=d)
+    np.cumsum(d, axis=1, out=d)
+    d[:, 1:] = d[:, :-1]
+    d[:, 0] = 0.0
+    np.minimum(d, length, out=d)
+    _one_directional_block(d, v, x, length, d, out)
 
 
 def one_directional_times(
@@ -55,20 +118,7 @@ def one_directional_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
-    _check_batch(starts, speeds, x, length)
-    out = np.empty(len(x))
-    top = np.nextafter(length, 0.0)
-    for rows in _row_blocks(*starts.shape):
-        s = starts[rows]
-        _require_in_region(s, length, "agent starts")
-        d = x[rows, None] - s
-        # |d| < length, so this is `d % length` bit for bit; d + length can still
-        # round up to length, which the clamp turns into the largest offset below it
-        d += length * (d < 0)
-        np.minimum(d, top, out=d)
-        d /= speeds[rows]
-        d.min(axis=1, out=out[rows])
-    return out
+    return _run_blocks(_one_directional_block, starts, speeds, x, length)
 
 
 def two_directional_times(
@@ -78,39 +128,7 @@ def two_directional_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
-    _check_batch(starts, speeds, x, length)
-    out = np.empty(len(x))
-    for rows in _row_blocks(*starts.shape):
-        s = starts[rows]
-        _require_in_region(s, length, "agent starts")
-        # the nearer way round is min(|d|, length - |d|); length - |d| rounds to
-        # length only when |d| is tiny, and then |d| is the minimum anyway
-        d = x[rows, None] - s
-        np.abs(d, out=d)
-        np.minimum(d, length - d, out=d)
-        d /= 0.5 * speeds[rows]
-        d.min(axis=1, out=out[rows])
-    return out
-
-
-def _grouped_block(
-    starts: np.ndarray, speeds: np.ndarray, x: np.ndarray, length: float, group_size: int
-) -> np.ndarray:
-    trials = starts.shape[0]
-    order = np.argsort(starts, axis=1, kind="stable")
-    s = np.take_along_axis(starts, order, axis=1)
-    v = np.take_along_axis(speeds, order, axis=1)
-    bounds = s[:, ::group_size]
-    G = bounds.shape[1]
-    # owner group: largest boundary at or before x, wrapping to the last group
-    pos = (bounds <= x[:, None]).sum(axis=1) - 1
-    pos = np.where(pos < 0, G - 1, pos)
-    rates = np.empty((trials, G))
-    for g in range(G):
-        rates[:, g] = v[:, g * group_size : (g + 1) * group_size].sum(axis=1)
-    rows = np.arange(trials)
-    offset = _wrap_offsets(x - bounds[rows, pos], length)
-    return offset / rates[rows, pos]
+    return _run_blocks(_two_directional_block, starts, speeds, x, length)
 
 
 def grouped_times(
@@ -120,44 +138,15 @@ def grouped_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
-    _check_batch(starts, speeds, x, length)
-    trials, m = starts.shape
-    if not 1 <= group_size <= m:
-        raise ValueError(f"group size {group_size} out of range for {m} agents")
-    out = np.empty(trials)
-    for rows in _row_blocks(trials, m):
-        s = starts[rows]
-        _require_in_region(s, length, "agent starts")
-        out[rows] = _grouped_block(s, speeds[rows], x[rows], length, group_size)
-    return out
-
-
-def _proportional_block(speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
-    trials = speeds.shape[0]
-    total = speeds.sum(axis=1)
-    lengths = speeds * (length / total)[:, None]
-    left = np.concatenate([np.zeros((trials, 1)), np.cumsum(lengths, axis=1)[:, :-1]], axis=1)
-    offs = _wrap_offsets(x[:, None] - left, length)
-    hit = offs < lengths
-    owner = np.argmax(hit, axis=1)
-    sliver = ~hit.any(axis=1)
-    if sliver.any():
-        owner[sliver] = np.argmin(offs[sliver], axis=1)
-    rows = np.arange(trials)
-    return offs[rows, owner] / speeds[rows, owner]
+    if not 1 <= group_size <= speeds.shape[-1]:
+        raise ValueError(f"group size {group_size} out of range for {speeds.shape[-1]} agents")
+    return _run_blocks(partial(_grouped_block, group_size), starts, speeds, x, length)
 
 
 def proportional_times(speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
-    """Batch of proportional-allocation trial times; starts are implied by the arcs.
+    """Batch of proportional-allocation trial times; each agent sweeps its
+    speed-proportional arc one way from the arc's start.
 
     Solution positions must lie in [0, length), else ValueError.
     """
-    if speeds.ndim != 2:
-        raise ValueError(f"speeds must have shape (trials, m), got {speeds.shape}")
-    if x.shape != (speeds.shape[0],):
-        raise ValueError(f"x must have shape ({speeds.shape[0]},), got {x.shape}")
-    _require_in_region(x, length, "solution positions")
-    out = np.empty(len(x))
-    for rows in _row_blocks(*speeds.shape):
-        out[rows] = _proportional_block(speeds[rows], x[rows], length)
-    return out
+    return _run_blocks(_proportional_block, None, speeds, x, length)

@@ -112,13 +112,14 @@ def proportional_arcs(speeds, L):
     return [float(s) for s in starts], [float(l) for l in lengths]
 
 
-def arc_owner(arc_starts, arc_lengths, x, L):
-    """Agent whose arc contains x; arcs are half-open [start, start + length)."""
-    for i, (s, l) in enumerate(zip(arc_starts, arc_lengths)):
-        if l > 0 and (x - s) % L < l:
-            return i
-    # x can fall in a sliver left by float rounding; charge it to the nearest arc start
-    return min(range(len(arc_starts)), key=lambda i: (x - arc_starts[i]) % L)
+def arc_owner(arc_starts, x):
+    """Agent whose arc contains x.  Each arc runs from its start up to the next start
+    clockwise, half-open, so the owner's start is the nearest at or behind x: the
+    largest start at or below x, or the largest of all when x lies before every start.
+    Among equal starts only the last arc is non-empty, so the highest id wins.
+    """
+    behind = [i for i, s in enumerate(arc_starts) if s <= x] or range(len(arc_starts))
+    return max(behind, key=lambda i: (arc_starts[i], i))
 
 
 def proportional(speeds, x, L):
@@ -126,8 +127,8 @@ def proportional(speeds, x, L):
 
     All arcs complete simultaneously at L / sum(speeds), the worst-case time.
     """
-    arc_starts, arc_lengths = proportional_arcs(speeds, L)
-    owner = arc_owner(arc_starts, arc_lengths, x, L)
+    arc_starts, _ = proportional_arcs(speeds, L)
+    owner = arc_owner(arc_starts, x)
     return ((x - arc_starts[owner]) % L) / list(speeds)[owner], owner
 
 

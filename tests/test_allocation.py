@@ -38,11 +38,13 @@ def test_allocate_equal():
 
 def test_owner_of():
     starts = equal_starts(4)
-    lengths = oracles.successor_gaps(starts, L)
-    assert oracles.arc_owner(starts, lengths, 0.0, L) == 0
-    assert oracles.arc_owner(starts, lengths, 249.999, L) == 0
-    assert oracles.arc_owner(starts, lengths, 250.0, L) == 1  # boundary belongs to the next arc
-    assert oracles.arc_owner(starts, lengths, 999.5, L) == 3
+    assert oracles.arc_owner(starts, 0.0) == 0
+    assert oracles.arc_owner(starts, 249.999) == 0
+    assert oracles.arc_owner(starts, 250.0) == 1  # boundary belongs to the next arc
+    assert oracles.arc_owner(starts, 999.5) == 3
+    # x before every start wraps to the last arc; an empty arc owns nothing
+    assert oracles.arc_owner([100.0, 600.0], 50.0) == 1
+    assert oracles.arc_owner([0.0, 500.0, 500.0], 700.0) == 2
 
 
 def _split_largest_oracle(length: float, m: int) -> list[float]:
@@ -213,7 +215,12 @@ def test_estimate_length_pmf_matches_oracle_loosely():
 
 
 def test_estimate_length_pmf_chunking_invariant():
-    a = estimate_length_pmf(L, 4, 30_000, 9, chunk=1024)
-    b = estimate_length_pmf(L, 4, 30_000, 9, chunk=65536)
-    # same seed, same draws, different chunking: identical histogram
-    assert a == b
+    trials = 30_000  # several row blocks, the last one ragged
+    for m in (4, 30):
+        # the same seed drawn in one pass, without row blocks: identical histogram
+        s = np.sort(np.random.default_rng(9).uniform(0.0, L, (trials, m)), axis=1)
+        gaps = np.column_stack([np.diff(s, axis=1), L - s[:, -1] + s[:, 0]])
+        idx = np.clip(np.floor(gaps).astype(np.int64), 0, int(L) - 1)
+        counts = np.bincount(idx.ravel(), minlength=int(L))
+        want = tuple((counts / counts.sum()).tolist())
+        assert estimate_length_pmf(L, m, trials, 9).masses == want

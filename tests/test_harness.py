@@ -177,10 +177,9 @@ def test_proportional_plan():
 
 
 def test_summary_stats_invariants():
+    assert SummaryStats(mean=5.0, stderr=1.0, trials=10, minimum=0.0, maximum=10.0).ci95 == 1.96
     with pytest.raises(ValueError):
-        SummaryStats(mean=5.0, stderr=1.0, ci95=1.0, trials=10, minimum=0.0, maximum=10.0)
-    with pytest.raises(ValueError):
-        SummaryStats(mean=50.0, stderr=1.0, ci95=1.96, trials=10, minimum=0.0, maximum=10.0)
+        SummaryStats(mean=50.0, stderr=1.0, trials=10, minimum=0.0, maximum=10.0)
 
 
 def test_sweep_m_matches_individual_runs():

@@ -1,6 +1,7 @@
 """Per-trial mechanics: worked examples, invariants, and scalar-vs-kernel agreement."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 import oracles
 from coopsearch.allocation import semi_equal_starts
 from coopsearch.harness import StrategySpec
-from coopsearch.model import _BLOCK_ENTRIES
+from coopsearch.model import _BLOCK_ENTRIES, _row_blocks
 from coopsearch.simulation import (
     grouped_times,
     one_directional_times,
     proportional_times,
     two_directional_times,
 )
-from coopsearch.simulation import _grouped_block, _proportional_block, _row_blocks
+from coopsearch.simulation import _grouped_block, _proportional_block
 
 L = 1000.0
 ONE = StrategySpec("one-directional")
@@ -156,7 +157,7 @@ def test_no_overtake_condition(m, speeds, x):
     lengths = oracles.successor_gaps(starts, L)
     assert no_overtake_condition(min(speeds), max(speeds), min(lengths), max(lengths))
     t, finder = oracles.one_directional(starts, speeds, x, L)
-    owner = oracles.arc_owner(starts, lengths, x, L)
+    owner = oracles.arc_owner(starts, x)
     assert finder == owner
     assert t == oracles.wrap_distance(starts[owner], x, L) / speeds[owner]
     # past the bound a fast agent overtakes into its neighbor's arc
@@ -201,6 +202,8 @@ def test_grouped_kernel_matches_scalar(inputs, n):
 
 @given(trial_inputs())
 @settings(max_examples=150)
+# x is exactly agent 2's arc start: found there at time 0, not charged to agent 1
+@example(inputs=([0.0] * 4, [0.5, 1.375, 0.5, 1.375], 500.0))
 def test_proportional_kernel_matches_scalar(inputs):
     _, speeds, x = inputs
     scalar, _ = oracles.proportional(speeds, x, L)
@@ -240,6 +243,25 @@ def two_directional_oracle(starts, speeds, x, length):
     fwd = wrap_offsets_oracle(x[:, None] - starts, length)
     bwd = wrap_offsets_oracle(starts - x[:, None], length)
     return (np.minimum(fwd, bwd) / (0.5 * speeds)).min(axis=1)
+
+
+def proportional_arc_starts_oracle(speeds, length):
+    lengths = speeds * (length / speeds.sum(axis=1))[:, None]
+    left = np.cumsum(lengths, axis=1)[:, :-1]
+    return np.concatenate([np.zeros((len(speeds), 1)), left], axis=1), lengths
+
+
+def proportional_oracle(speeds, x, length):
+    """The owner lookup the one-directional sweep replaced: the first arc whose
+    wrapped offset lies below its length, else the nearest arc start behind x."""
+    left, lengths = proportional_arc_starts_oracle(speeds, length)
+    offs = wrap_offsets_oracle(x[:, None] - left, length)
+    hit = offs < lengths
+    owner = np.argmax(hit, axis=1)
+    sliver = ~hit.any(axis=1)
+    owner[sliver] = np.argmin(offs[sliver], axis=1)
+    rows = np.arange(len(x))
+    return offs[rows, owner] / speeds[rows, owner]
 
 
 def adversarial_batch(m, seed):
@@ -289,13 +311,48 @@ def test_two_directional_kernel_bit_identical(m):
 
 
 @pytest.mark.parametrize("m", [2, 7, 256])
+def test_proportional_kernel_bit_identical(m):
+    _, speeds, x = adversarial_batch(m, seed=300 + m)
+    # plant x on a random arc start other than 0, and one ulp either side of it
+    left, _ = proportional_arc_starts_oracle(speeds, L)
+    rows = np.arange(40, len(x) - 4)
+    start = left[rows, np.random.default_rng(m).integers(1, m, len(rows))]
+    at, below, above = rows[0::4], rows[1::4], rows[2::4]
+    x[at] = start[0::4]
+    x[below] = np.nextafter(start[1::4], 0.0)
+    x[above] = np.nextafter(start[2::4], L)
+    got = proportional_times(speeds, x, L)
+    assert np.all(got[at] == 0.0)
+    rest = np.setdiff1d(np.arange(len(x)), at)
+    assert np.array_equal(got[rest], proportional_oracle(speeds, x, L)[rest])
+
+
+# tiny last speeds: the oracle's last arc starts at L, or rounds past it for
+# (3.0, 1.1, 1e-17), where the kernel clamps the start at L
+@pytest.mark.parametrize("row", [(1.0, 1e-17), (1.0, 1.0, 1e-17), (3.0, 1.1, 1e-17)])
+def test_proportional_kernel_last_arc_at_length(row):
+    _, _, x = adversarial_batch(len(row), seed=7)
+    speeds = np.broadcast_to(np.array(row), (len(x), len(row)))
+    assert proportional_arc_starts_oracle(speeds[:1], L)[0][0, -1] >= L
+    got = proportional_times(speeds, x, L)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    assert np.array_equal(got, proportional_oracle(speeds, x, L))
+
+
+def one_pass(block, starts, speeds, x):
+    out = np.empty(len(x))
+    block(starts, speeds, x, L, np.empty(speeds.shape), out)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 7, 256])
 def test_grouped_and_proportional_blocks_match_one_pass(m):
     starts, speeds, x = adversarial_batch(m, seed=200 + m)
     for n in sorted({1, 2, m}):
         got = grouped_times(starts, speeds, x, L, n)
-        assert np.array_equal(got, _grouped_block(starts, speeds, x, L, n))
+        assert np.array_equal(got, one_pass(partial(_grouped_block, n), starts, speeds, x))
     got = proportional_times(speeds, x, L)
-    assert np.array_equal(got, _proportional_block(speeds, x, L))
+    assert np.array_equal(got, one_pass(_proportional_block, None, speeds, x))
 
 
 @pytest.mark.parametrize("bad", [L, -1.0, np.nextafter(L, np.inf), np.nan, np.inf])
