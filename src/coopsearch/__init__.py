@@ -9,7 +9,6 @@ homogeneous and heterogeneous agent speeds.
 __version__ = "0.1.0"
 
 from .allocation import (
-    LengthDistribution,
     estimate_length_pmf,
     length_pmf_equal,
     length_pmf_semi_equal,
@@ -38,7 +37,6 @@ __all__ = [
     "__version__",
     "RegionSpec",
     "SpeedDistribution",
-    "LengthDistribution",
     "length_pmf_equal",
     "length_pmf_semi_equal",
     "estimate_length_pmf",

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import _row_blocks
 
 __all__ = [
-    "LengthDistribution",
     "semi_equal_starts",
     "length_pmf_equal",
     "length_pmf_semi_equal",
@@ -43,49 +41,14 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
     return starts
 
 
-@dataclass(frozen=True)
-class LengthDistribution:
-    """Probability law of subregion length.
-
-    Exact laws carry atom values directly; estimated (and binned analytic) laws carry
-    the lower edge of each unit bin, with `bin_width` set.  Moments use bin midpoints.
-    """
-
-    values: tuple[float, ...]
-    masses: tuple[float, ...]
-    bin_width: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.masses) or not self.values:
-            raise ValueError("values and masses must be equal-length and non-empty")
-        if any(not math.isfinite(v) or v < 0 for v in self.values):
-            raise ValueError("length values must be finite and non-negative")
-        if any(not math.isfinite(p) or p < 0 for p in self.masses):
-            raise ValueError("masses must be finite and non-negative")
-        total = math.fsum(self.masses)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses must sum to 1, got {total!r}")
-        if self.bin_width is not None and self.bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width!r}")
-
-    def support_values(self) -> np.ndarray:
-        """Representative length per atom: the value itself, or the bin midpoint."""
-        vals = np.array(self.values, dtype=float)
-        if self.bin_width is not None:
-            vals = vals + 0.5 * self.bin_width
-        return vals
-
-    def masses_array(self) -> np.ndarray:
-        return np.array(self.masses, dtype=float)
-
-
-def length_pmf_equal(region_length: float, m: int) -> LengthDistribution:
+def length_pmf_equal(region_length: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, masses) of the equal division: every subregion is L/m."""
     _require_agent_count(m)
-    return LengthDistribution((region_length / m,), (1.0,))
+    return np.array([region_length / m]), np.array([1.0])
 
 
-def length_pmf_semi_equal(region_length: float, m: int) -> LengthDistribution:
-    """Halving-scheme length law.
+def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, masses) of the halving scheme.
 
     For 2^n < m < 2^(n+1) mass (2^(n+1) - m)/m sits at L/2^n and (2m - 2^(n+1))/m
     at L/2^(n+1); at m = 2^n everything is equal.
@@ -93,17 +56,17 @@ def length_pmf_semi_equal(region_length: float, m: int) -> LengthDistribution:
     _require_agent_count(m)
     n = m.bit_length() - 1  # 2^n <= m < 2^(n+1)
     if m == 2**n:
-        return LengthDistribution((region_length / 2**n,), (1.0,))
+        return np.array([region_length / 2**n]), np.array([1.0])
     long_count = 2 ** (n + 1) - m
     short_count = 2 * (m - 2**n)
-    return LengthDistribution(
-        (region_length / 2**n, region_length / 2 ** (n + 1)),
-        (long_count / m, short_count / m),
+    return (
+        np.array([region_length / 2**n, region_length / 2 ** (n + 1)]),
+        np.array([long_count / m, short_count / m]),
     )
 
 
-def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> LengthDistribution:
-    """Monte-Carlo histogram of gap lengths under uniform random starts, unit bins.
+def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.ndarray:
+    """Monte-Carlo masses of gap lengths under uniform random starts; bin k is [k, k+1).
 
     Starts are drawn per row block; uniform draws fill in C order, so the histogram
     is the one a single (trials, m) draw would give.
@@ -121,16 +84,11 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> Leng
         gaps[:, -1] = region_length - s[:, -1] + s[:, 0]
         idx = np.clip(np.floor(gaps).astype(np.int64), 0, nbins - 1)
         counts += np.bincount(idx.ravel(), minlength=nbins)
-    masses = counts / counts.sum()
-    return LengthDistribution(
-        tuple(float(k) for k in range(nbins)),
-        tuple(masses.tolist()),
-        bin_width=1.0,
-    )
+    return counts / counts.sum()
 
 
-def spacing_pmf_oracle(region_length: float, m: int) -> LengthDistribution:
-    """Exact unit-bin law of one gap between m uniform points on the circle.
+def spacing_pmf_oracle(region_length: float, m: int) -> np.ndarray:
+    """Exact unit-bin masses of one gap between m uniform points on the circle.
 
     A gap exceeds g with probability (1 - g/L)^(m-1), so bin [k, k+1) carries
     (1 - k/L)^(m-1) - (1 - (k+1)/L)^(m-1).
@@ -141,9 +99,4 @@ def spacing_pmf_oracle(region_length: float, m: int) -> LengthDistribution:
     nbins = math.ceil(L)
     k = np.arange(nbins, dtype=float)
     hi = np.minimum(k + 1.0, L)
-    masses = (1.0 - k / L) ** (m - 1) - (1.0 - hi / L) ** (m - 1)
-    return LengthDistribution(
-        tuple(float(v) for v in k),
-        tuple(masses.tolist()),
-        bin_width=1.0,
-    )
+    return (1.0 - k / L) ** (m - 1) - (1.0 - hi / L) ** (m - 1)

@@ -33,7 +33,7 @@ from .harness import (
 from .model import RegionSpec, SpeedDistribution
 
 __all__ = [
-    "ExperimentConfig",
+    "OPTIONS",
     "OutputRecord",
     "cmd_pl_hist",
     "cmd_expected",
@@ -51,25 +51,6 @@ STAT_COLUMNS = ("strategy", "m", "mean", "stderr", "ci95", "trials", "seed")
 
 class CliError(ValueError):
     """Configuration problem; reported as a diagnostic with exit code 2."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully validated invocation: everything the command needs, nothing implicit."""
-
-    command: str
-    region_length: float
-    agents: tuple[int, ...]
-    method: str | None
-    allocation: str | None
-    speeds: SpeedDistribution | tuple[float, ...] | None
-    trials: int
-    seed: int
-    workers: int | None
-    output: str | None
-    fmt: str
-    with_analytic: bool
-    targets: tuple[tuple[str, int], ...] | None
 
 
 @dataclass(frozen=True)
@@ -112,19 +93,13 @@ def _parse_speeds(text: str) -> SpeedDistribution | tuple[float, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise CliError(f"empty --speeds value {text!r}")
-    has_mass = [":" in t for t in items]
+    pairs = [t.split(":", 1) for t in items]
+    if len({len(pair) for pair in pairs}) > 1:
+        raise CliError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
     try:
-        if all(has_mass):
-            atoms = []
-            for t in items:
-                v, p = t.split(":", 1)
-                atoms.append((float(v), float(p)))
-            return SpeedDistribution(tuple(atoms))
-        if any(has_mass):
-            raise CliError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
+        if len(pairs[0]) == 2:
+            return SpeedDistribution(tuple((float(v), float(p)) for v, p in pairs))
         return tuple(float(t) for t in items)
-    except CliError:
-        raise
     except ValueError as e:
         raise CliError(f"bad --speeds value {text!r}: {e}") from None
 
@@ -136,7 +111,7 @@ def _speeds_text(speeds: SpeedDistribution | tuple[float, ...]) -> str:
 
 
 def _parse_agents(ns) -> tuple[int, ...]:
-    listed = getattr(ns, "agents", None)
+    listed = ns.agents
     ranged = getattr(ns, "agents_range", None)
     if listed is not None and ranged is not None:
         raise CliError("give --agents or --agents-range, not both")
@@ -160,7 +135,7 @@ def _parse_agents(ns) -> tuple[int, ...]:
         if step < 1 or hi < lo:
             raise CliError(f"bad --agents-range value {ranged!r}")
         return tuple(range(lo, hi + 1, step))
-    return ()
+    return tuple(range(2, 33))  # expected and sweep default to m = 2..32
 
 
 def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
@@ -182,6 +157,62 @@ def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+def _every(*commands: str, **kwargs) -> dict[str, dict]:
+    """The same argparse keywords for each of `commands`."""
+    return {command: kwargs for command in commands}
+
+
+_ALL = ("pl-hist", "expected", "simulate", "sweep", "compare")
+_SAMPLING = ("pl-hist", "simulate", "sweep", "compare")  # the commands that draw samples
+_SEARCHING = ("expected", "simulate", "sweep", "compare")  # the commands that model agent speeds
+
+# (flag, {command: argparse keywords}, echo), one row per option, in echo order.
+# `echo` writes an option's canonical value into the config line; a set store_true
+# flag echoes bare, and a row without `echo` never appears in the config line.
+OPTIONS = (
+    ("--region-length", _every(*_ALL, type=float, default=1000.0), _fmt_float),
+    (
+        "--agents",
+        {
+            "pl-hist": {"default": DEFAULT_HIST_AGENTS},
+            "simulate": {"required": True},
+            **_every("expected", "sweep"),
+        },
+        lambda agents: ",".join(str(m) for m in agents),
+    ),
+    ("--agents-range", _every("expected", "sweep"), None),
+    (
+        "--targets",
+        _every("compare", default=DEFAULT_TARGETS),
+        lambda targets: ",".join(f"{token}:{m}" for token, m in targets),
+    ),
+    (
+        "--strategy",
+        {
+            "expected": {"default": "equal"},
+            **_every("simulate", "sweep", default="one-directional"),
+        },
+        str,
+    ),
+    (
+        "--allocation",
+        {"pl-hist": {"default": "random", "choices": ("random",)}, **_every("simulate", "sweep")},
+        str,
+    ),
+    (
+        "--speeds",
+        _every(*_SEARCHING, default=DEFAULT_SPEEDS, help="v:mass pmf pairs or bare fixed speeds"),
+        _speeds_text,
+    ),
+    ("--trials", _every(*_SAMPLING, type=int, default=1_000_000), str),
+    ("--seed", _every(*_SAMPLING, type=int, default=0), str),
+    ("--with-analytic", _every("sweep", action="store_true"), str),
+    ("--format", _every(*_ALL, choices=("dsv", "structured"), default="dsv"), str),
+    ("--workers", _every(*_ALL, type=int), None),
+    ("--output", _every(*_ALL), None),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopsearch",
@@ -189,54 +220,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "analytic expected times and Monte-Carlo strategy comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, speeds=True, trials=True):
-        p.add_argument("--region-length", type=float, default=1000.0)
-        if speeds:
-            p.add_argument("--speeds", default=DEFAULT_SPEEDS, help="v:mass pmf pairs or bare fixed speeds")
-        if trials:
-            p.add_argument("--trials", type=int, default=1_000_000)
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", dest="fmt", choices=("dsv", "structured"), default="dsv")
-
-    p = sub.add_parser("pl-hist", help="estimated vs exact gap-length histogram for random starts")
-    p.add_argument("--agents", default=DEFAULT_HIST_AGENTS)
-    p.add_argument("--allocation", default="random")
-    common(p, speeds=False)
-
-    p = sub.add_parser("expected", help="closed-form expected times, no simulation")
-    p.add_argument("--agents", default=None)
-    p.add_argument("--agents-range", default=None)
-    p.add_argument("--strategy", default="equal")
-    common(p, trials=False)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo estimate for one configuration")
-    p.add_argument("--agents", required=True)
-    p.add_argument("--strategy", default="one-directional")
-    p.add_argument("--allocation", default=None)
-    common(p)
-
-    p = sub.add_parser("sweep", help="Monte-Carlo sweep over agent counts")
-    p.add_argument("--agents", default=None)
-    p.add_argument("--agents-range", default=None)
-    p.add_argument("--strategy", default="one-directional")
-    p.add_argument("--allocation", default=None)
-    p.add_argument("--with-analytic", action="store_true")
-    common(p)
-
-    p = sub.add_parser("compare", help="side-by-side strategy comparison at chosen agent counts")
-    p.add_argument("--targets", default=DEFAULT_TARGETS)
-    common(p)
+    subparsers = {name: sub.add_parser(name, help=cmd.__doc__) for name, cmd in _COMMANDS.items()}
+    for flag, takes, _ in OPTIONS:
+        for command, kwargs in takes.items():
+            subparsers[command].add_argument(flag, **kwargs)
     return parser
 
 
-def parse_config(argv=None) -> ExperimentConfig:
-    """Parse argv into a config; every configuration error raises CliError.
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse argv into the validated, canonical namespace the command runs on.
 
-    The region, the speed law and every trial plan the command uses are built
-    here, so their own checks validate the input.
+    argparse's own errors exit through SystemExit; every other configuration error
+    raises CliError.  The region, the speed law and every trial plan the command
+    uses are built here, so their own checks validate the input.
     """
     ns = _build_parser().parse_args(argv)
     try:
@@ -256,129 +252,65 @@ def _canonical(token: str, allocation: str | None = None) -> tuple[str, Strategy
     return (name if name == allocation else str(strategy)), strategy, allocation
 
 
-def _validated(ns) -> ExperimentConfig:
-    command = ns.command
-    region_length = RegionSpec(float(ns.region_length)).length
-    trials = getattr(ns, "trials", 1)
-    seed = getattr(ns, "seed", 0)
+def _validated(ns: argparse.Namespace) -> argparse.Namespace:
+    """Replace each option's text with its canonical value, checking it on the way."""
+    ns.region_length = RegionSpec(ns.region_length).length
     if ns.workers is not None and ns.workers < 1:
         raise CliError(f"--workers must be positive, got {ns.workers}")
-    speeds = _parse_speeds(ns.speeds) if hasattr(ns, "speeds") else None
-    agents = _parse_agents(ns)
-    method = getattr(ns, "strategy", None)
-    allocation = getattr(ns, "allocation", None)
-    targets = _parse_targets(ns.targets) if hasattr(ns, "targets") else None
+    if "speeds" in ns:
+        ns.speeds = _parse_speeds(ns.speeds)
+    if "agents" in ns:
+        ns.agents = _parse_agents(ns)
+    if "targets" in ns:
+        ns.targets = tuple((_canonical(token)[0], m) for token, m in _parse_targets(ns.targets))
+    if "strategy" in ns:
+        allocation = getattr(ns, "allocation", None)
+        ns.strategy, strategy, ns.allocation = _canonical(ns.strategy, allocation)
 
-    if command == "pl-hist":
-        if allocation != "random":
-            raise CliError(f"pl-hist needs random allocation, got {allocation!r}")
-        if any(m < 2 for m in agents):
-            raise CliError(f"pl-hist needs m >= 2, got {agents}")
-        if trials < 1 or seed < 0:
-            raise CliError(f"pl-hist needs --trials >= 1 and --seed >= 0, got {trials} and {seed}")
-    elif command == "compare":
-        targets = tuple((_canonical(token)[0], m) for token, m in targets)
-    else:
-        agents = agents or tuple(range(2, 33))
-        if command == "simulate" and len(agents) != 1:
-            raise CliError(f"simulate takes a single --agents value, got {agents}")
-        if command == "sweep" and any(b <= a for a, b in zip(agents, agents[1:])):
-            raise CliError(f"agent counts must be strictly increasing, got {agents}")
-        if command == "expected" and not isinstance(speeds, SpeedDistribution):
-            if len(speeds) != 1:
+    if ns.command == "pl-hist":
+        if any(m < 2 for m in ns.agents):
+            raise CliError(f"pl-hist needs m >= 2, got {ns.agents}")
+        if ns.trials < 1 or ns.seed < 0:
+            raise CliError(f"pl-hist needs --trials >= 1, --seed >= 0; got {ns.trials}, {ns.seed}")
+        return ns
+    if ns.command == "simulate" and len(ns.agents) != 1:
+        raise CliError(f"simulate takes a single --agents value, got {ns.agents}")
+    if ns.command == "sweep" and any(b <= a for a, b in zip(ns.agents, ns.agents[1:])):
+        raise CliError(f"agent counts must be strictly increasing, got {ns.agents}")
+    if ns.command == "expected":
+        if not isinstance(ns.speeds, SpeedDistribution):
+            if len(ns.speeds) != 1:
                 raise CliError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
-            speeds = SpeedDistribution.point_mass(speeds[0])
-        method, strategy, allocation = _canonical(method, allocation)
-        if command == "expected" and allocation not in STRATEGIES[strategy.kind].closed_forms:
-            raise CliError(f"no closed form for strategy {method!r}; use `coopsearch simulate` for it")
-
-    cfg = ExperimentConfig(
-        command=command,
-        region_length=region_length,
-        agents=agents,
-        method=method,
-        allocation=allocation,
-        speeds=speeds,
-        trials=trials,
-        seed=seed,
-        workers=ns.workers,
-        output=ns.output,
-        fmt=ns.fmt,
-        with_analytic=getattr(ns, "with_analytic", False),
-        targets=targets,
-    )
-    if command != "pl-hist":
-        for token, m in targets or [(method, m) for m in agents]:
-            _plan(cfg, token, m)  # each trial plan the command uses, built for its checks
-    return cfg
+            ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
+        if ns.allocation not in STRATEGIES[strategy.kind].closed_forms:
+            raise CliError(
+                f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
+            )
+    targets = ns.targets if "targets" in ns else [(ns.strategy, m) for m in ns.agents]
+    for token, m in targets:
+        _plan(ns, token, m)  # each trial plan the command uses, built for its checks
+    return ns
 
 
-def _config_line(cfg: ExperimentConfig) -> str:
-    parts = ["coopsearch", cfg.command, "--region-length", _fmt_float(cfg.region_length)]
-    if cfg.command == "pl-hist":
-        parts += ["--agents", ",".join(str(m) for m in cfg.agents)]
-        parts += ["--allocation", "random"]
-        parts += ["--trials", str(cfg.trials), "--seed", str(cfg.seed)]
-    elif cfg.command == "expected":
-        parts += ["--agents", ",".join(str(m) for m in cfg.agents)]
-        parts += ["--strategy", cfg.method, "--speeds", _speeds_text(cfg.speeds)]
-    elif cfg.command == "simulate":
-        parts += ["--agents", str(cfg.agents[0]), "--strategy", cfg.method]
-        if cfg.allocation is not None:
-            parts += ["--allocation", cfg.allocation]
-        parts += ["--speeds", _speeds_text(cfg.speeds)]
-        parts += ["--trials", str(cfg.trials), "--seed", str(cfg.seed)]
-    elif cfg.command == "sweep":
-        parts += ["--agents", ",".join(str(m) for m in cfg.agents)]
-        parts += ["--strategy", cfg.method]
-        if cfg.allocation is not None:
-            parts += ["--allocation", cfg.allocation]
-        parts += ["--speeds", _speeds_text(cfg.speeds)]
-        parts += ["--trials", str(cfg.trials), "--seed", str(cfg.seed)]
-        if cfg.with_analytic:
-            parts.append("--with-analytic")
-    elif cfg.command == "compare":
-        parts += ["--targets", ",".join(f"{t}:{m}" for t, m in cfg.targets)]
-        parts += ["--speeds", _speeds_text(cfg.speeds)]
-        parts += ["--trials", str(cfg.trials), "--seed", str(cfg.seed)]
-    parts += ["--format", cfg.fmt]
+def _config_line(ns: argparse.Namespace) -> str:
+    parts = ["coopsearch", ns.command]
+    for flag, takes, echo in OPTIONS:
+        value = getattr(ns, flag[2:].replace("-", "_"), None)
+        if echo is not None and ns.command in takes and value is not False:
+            parts += [flag] if value is True else [flag, echo(value)]
     return " ".join(shlex.quote(p) for p in parts)
 
 
-def cmd_pl_hist(cfg: ExperimentConfig) -> OutputRecord:
-    rows = []
-    for m in cfg.agents:
-        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(m,))
-        est = estimate_length_pmf(cfg.region_length, m, cfg.trials, seed)
-        oracle = spacing_pmf_oracle(cfg.region_length, m)
-        for k, (e_mass, o_mass) in enumerate(zip(est.masses, oracle.masses)):
-            rows.append((m, k, float(e_mass), float(o_mass)))
-    return OutputRecord(
-        columns=("m", "bin", "estimated_mass", "oracle_mass"),
-        rows=tuple(rows),
-        config_line=_config_line(cfg),
-    )
-
-
-def cmd_expected(cfg: ExperimentConfig) -> OutputRecord:
-    rows = tuple((cfg.method, m, closed_form(_plan(cfg, cfg.method, m))) for m in cfg.agents)
-    return OutputRecord(
-        columns=("strategy", "m", "expected_time"),
-        rows=rows,
-        config_line=_config_line(cfg),
-    )
-
-
-def _plan(cfg: ExperimentConfig, method: str, m: int) -> TrialPlan:
-    strategy, allocation = resolve_method(method, cfg.allocation)
+def _plan(ns: argparse.Namespace, method: str, m: int) -> TrialPlan:
+    strategy, allocation = resolve_method(method, getattr(ns, "allocation", None))
     return TrialPlan(
-        region=RegionSpec(cfg.region_length),
+        region=RegionSpec(ns.region_length),
         num_agents=m,
         strategy=strategy,
         allocation=allocation,
-        speeds=cfg.speeds,
-        trials=cfg.trials,
-        base_seed=cfg.seed,
+        speeds=ns.speeds,
+        trials=getattr(ns, "trials", 1),
+        base_seed=getattr(ns, "seed", 0),
     )
 
 
@@ -386,36 +318,51 @@ def _stat_row(method: str, m: int, stats, seed: int) -> tuple:
     return (method, m, stats.mean, stats.stderr, stats.ci95, stats.trials, seed)
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> OutputRecord:
-    m = cfg.agents[0]
-    stats = run_trials(_plan(cfg, cfg.method, m), workers=cfg.workers)
-    row = _stat_row(cfg.method, m, stats, cfg.seed)
-    return OutputRecord(columns=STAT_COLUMNS, rows=(row,), config_line=_config_line(cfg))
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> OutputRecord:
-    columns = STAT_COLUMNS + (("analytic",) if cfg.with_analytic else ())
+def cmd_pl_hist(ns: argparse.Namespace) -> OutputRecord:
+    """estimated vs exact gap-length histogram for random starts"""
     rows = []
-    template = _plan(cfg, cfg.method, cfg.agents[0])
-    for m, stats in sweep_m(template, cfg.agents, workers=cfg.workers):
-        row = _stat_row(cfg.method, m, stats, cfg.seed)
-        if cfg.with_analytic:
-            row += (closed_form(_plan(cfg, cfg.method, m)),)
-        rows.append(row)
-    return OutputRecord(columns=columns, rows=tuple(rows), config_line=_config_line(cfg))
+    for m in ns.agents:
+        seed = np.random.SeedSequence(entropy=ns.seed, spawn_key=(m,))
+        est = estimate_length_pmf(ns.region_length, m, ns.trials, seed)
+        oracle = spacing_pmf_oracle(ns.region_length, m)
+        rows += [(m, k, float(e), float(o)) for k, (e, o) in enumerate(zip(est, oracle))]
+    columns = ("m", "bin", "estimated_mass", "oracle_mass")
+    return OutputRecord(columns, tuple(rows), _config_line(ns))
 
 
-def cmd_compare(cfg: ExperimentConfig) -> OutputRecord:
+def cmd_expected(ns: argparse.Namespace) -> OutputRecord:
+    """closed-form expected times, no simulation"""
+    rows = tuple((ns.strategy, m, closed_form(_plan(ns, ns.strategy, m))) for m in ns.agents)
+    return OutputRecord(("strategy", "m", "expected_time"), rows, _config_line(ns))
+
+
+def cmd_simulate(ns: argparse.Namespace) -> OutputRecord:
+    """Monte-Carlo estimate for one configuration"""
+    m = ns.agents[0]
+    stats = run_trials(_plan(ns, ns.strategy, m), workers=ns.workers)
+    row = _stat_row(ns.strategy, m, stats, ns.seed)
+    return OutputRecord(STAT_COLUMNS, (row,), _config_line(ns))
+
+
+def cmd_sweep(ns: argparse.Namespace) -> OutputRecord:
+    """Monte-Carlo sweep over agent counts"""
+    # the closed forms come first, so one that cannot be evaluated fails before any simulation
+    analytic = ns.with_analytic
+    extra = [(closed_form(_plan(ns, ns.strategy, m)),) if analytic else () for m in ns.agents]
+    columns = STAT_COLUMNS + (("analytic",) if analytic else ())
+    swept = sweep_m(_plan(ns, ns.strategy, ns.agents[0]), ns.agents, workers=ns.workers)
+    rows = tuple(_stat_row(ns.strategy, m, st, ns.seed) + e for (m, st), e in zip(swept, extra))
+    return OutputRecord(columns, rows, _config_line(ns))
+
+
+def cmd_compare(ns: argparse.Namespace) -> OutputRecord:
+    """side-by-side strategy comparison at chosen agent counts"""
+    region = RegionSpec(ns.region_length)
     table = compare_strategies(
-        RegionSpec(cfg.region_length),
-        cfg.speeds,
-        cfg.targets,
-        trials=cfg.trials,
-        base_seed=cfg.seed,
-        workers=cfg.workers,
+        region, ns.speeds, ns.targets, trials=ns.trials, base_seed=ns.seed, workers=ns.workers
     )
-    rows = tuple(_stat_row(method, m, stats, cfg.seed) for method, m, stats in table)
-    return OutputRecord(columns=STAT_COLUMNS, rows=rows, config_line=_config_line(cfg))
+    rows = tuple(_stat_row(method, m, stats, ns.seed) for method, m, stats in table)
+    return OutputRecord(STAT_COLUMNS, rows, _config_line(ns))
 
 
 _COMMANDS = {
@@ -429,18 +376,19 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        ns = parse_config(argv)
+    except SystemExit as e:  # argparse has printed its usage error, or --help
+        return e.code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        record = _COMMANDS[cfg.command](cfg)
-        text = record.render(cfg.fmt)
+        text = _COMMANDS[ns.command](ns).render(ns.format)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+    if ns.output:
+        Path(ns.output).write_text(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -66,9 +66,8 @@ def test_criterion_1_equal_subregions(criterion_report):
 def test_criterion_2_semi_equal(criterion_report):
     # realized length multiset equals the two-point law exactly, every m
     for m in range(1, 65):
-        pmf = length_pmf_semi_equal(L, m)
         want = Counter()
-        for value, mass in zip(pmf.values, pmf.masses):
+        for value, mass in zip(*length_pmf_semi_equal(L, m)):
             count = mass * m
             assert math.isclose(count, round(count), abs_tol=1e-9)
             want[value] = round(count)
@@ -104,8 +103,8 @@ def test_criterion_3a_random_gap_histogram(criterion_report):
     worst_m = None
     for m in (2, 5, 10, 20, 30):
         seed = np.random.SeedSequence(entropy=0, spawn_key=(m,))
-        est = np.array(estimate_length_pmf(L, m, TRIALS, seed).masses)
-        oracle = np.array(spacing_pmf_oracle(L, m).masses)
+        est = estimate_length_pmf(L, m, TRIALS, seed)
+        oracle = spacing_pmf_oracle(L, m)
         dev = np.max(np.abs(est - oracle))
         se_max = math.sqrt(np.max(oracle * (1 - oracle)) / (TRIALS * m))
         ratio = dev / (5 * se_max)
@@ -113,9 +112,9 @@ def test_criterion_3a_random_gap_histogram(criterion_report):
             worst_ratio, worst_m = ratio, m
 
     # shape facts behind the deviation bound
-    two = np.array(spacing_pmf_oracle(L, 2).masses)
+    two = spacing_pmf_oracle(L, 2)
     assert np.ptp(two) < 1e-15  # uniform gap law for two points
-    three = np.array(spacing_pmf_oracle(L, 3).masses)
+    three = spacing_pmf_oracle(L, 3)
     steps = np.diff(three)
     assert np.all(steps < 0)  # linear decrease
     assert np.max(np.abs(np.diff(steps))) < 1e-15

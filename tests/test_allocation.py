@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import oracles
 from coopsearch.allocation import (
-    LengthDistribution,
     estimate_length_pmf,
     length_pmf_equal,
     length_pmf_semi_equal,
@@ -77,25 +76,23 @@ def test_semi_equal_lengths_match_pmf_exactly():
     # the realized length multiset is exactly the analytic law, every m
     for m in range(1, 65):
         realized = Counter(oracles.successor_gaps(semi_equal_starts(L, m), L))
-        pmf = length_pmf_semi_equal(L, m)
         predicted = Counter()
-        for value, mass in zip(pmf.values, pmf.masses):
+        for value, mass in zip(*length_pmf_semi_equal(L, m)):
             predicted[value] = round(mass * m)
         assert realized == predicted, f"length multiset mismatch at m={m}"
 
 
 def test_length_pmf_semi_equal_two_point_form():
-    pmf = length_pmf_semi_equal(L, 10)  # 8 < 10 < 16
-    assert pmf.values == (125.0, 62.5)
-    assert pmf.masses == (6 / 10, 4 / 10)
-    assert length_pmf_semi_equal(L, 16).values == (62.5,)
-    assert length_pmf_semi_equal(L, 1).values == (1000.0,)
+    values, masses = length_pmf_semi_equal(L, 10)  # 8 < 10 < 16
+    assert values.tolist() == [125.0, 62.5]
+    assert masses.tolist() == [6 / 10, 4 / 10]
+    assert length_pmf_semi_equal(L, 16)[0].tolist() == [62.5]
+    assert length_pmf_semi_equal(L, 1)[0].tolist() == [1000.0]
 
 
 @given(st.integers(min_value=1, max_value=256))
 def test_semi_equal_mean_length(m):
-    pmf = length_pmf_semi_equal(L, m)
-    mean = math.fsum(v * p for v, p in zip(pmf.values, pmf.masses))
+    mean = math.fsum(v * p for v, p in zip(*length_pmf_semi_equal(L, m)))
     assert math.isclose(mean, L / m, rel_tol=1e-12)
 
 
@@ -144,37 +141,19 @@ def test_allocate_proportional():
 
 
 def test_length_pmf_equal():
-    pmf = length_pmf_equal(L, 8)
-    assert pmf.values == (125.0,)
-    assert pmf.masses == (1.0,)
-
-
-def test_length_distribution_validation():
-    with pytest.raises(ValueError):
-        LengthDistribution((1.0,), (0.5,))  # mass short of 1
-    with pytest.raises(ValueError):
-        LengthDistribution((1.0, 2.0), (1.0,))
-    with pytest.raises(ValueError):
-        LengthDistribution((1.0,), (1.0,), bin_width=0.0)
-    with pytest.raises(ValueError):
-        LengthDistribution((-1.0,), (1.0,))
-
-
-def test_length_distribution_midpoint_support():
-    pmf = LengthDistribution((0.0, 1.0), (0.5, 0.5), bin_width=1.0)
-    np.testing.assert_allclose(pmf.support_values(), [0.5, 1.5])
-    assert np.dot(pmf.support_values(), pmf.masses_array()) == 1.0
+    values, masses = length_pmf_equal(L, 8)
+    assert values.tolist() == [125.0]
+    assert masses.tolist() == [1.0]
 
 
 def test_spacing_pmf_oracle_m2_uniform():
-    pmf = spacing_pmf_oracle(L, 2)
-    masses = np.array(pmf.masses)
+    masses = spacing_pmf_oracle(L, 2)
     assert masses.shape == (1000,)
     np.testing.assert_allclose(masses, 1e-3, rtol=1e-9)
 
 
 def test_spacing_pmf_oracle_m3_linear():
-    masses = np.array(spacing_pmf_oracle(L, 3).masses)
+    masses = spacing_pmf_oracle(L, 3)
     second_diff = np.diff(masses, n=2)
     assert np.abs(second_diff).max() < 1e-12
     assert np.all(np.diff(masses) < 0)
@@ -182,10 +161,10 @@ def test_spacing_pmf_oracle_m3_linear():
 
 def test_spacing_pmf_oracle_normalized_and_monotone():
     for m in (2, 5, 10, 20, 30):
-        pmf = spacing_pmf_oracle(L, m)
-        assert math.isclose(math.fsum(pmf.masses), 1.0, rel_tol=1e-9)
+        masses = spacing_pmf_oracle(L, m)
+        assert math.isclose(math.fsum(masses), 1.0, rel_tol=1e-9)
         if m >= 3:
-            assert all(b < a for a, b in zip(pmf.masses, pmf.masses[1:]))
+            assert all(b < a for a, b in zip(masses, masses[1:]))
     with pytest.raises(ValueError):
         spacing_pmf_oracle(L, 1)
 
@@ -193,15 +172,16 @@ def test_spacing_pmf_oracle_normalized_and_monotone():
 def test_estimate_length_pmf_deterministic():
     a = estimate_length_pmf(L, 5, 20_000, 42)
     b = estimate_length_pmf(L, 5, 20_000, 42)
-    assert a == b
-    assert math.isclose(math.fsum(a.masses), 1.0, rel_tol=1e-9)
-    assert a.bin_width == 1.0
+    np.testing.assert_array_equal(a, b)
+    assert math.isclose(math.fsum(a), 1.0, rel_tol=1e-9)
+    assert a.shape == (1000,)  # unit bins over [0, L)
 
 
 def test_estimate_length_pmf_mean_tracks_oracle():
     for m in (2, 10):
         est = estimate_length_pmf(L, m, 50_000, 3)
-        assert abs(np.dot(est.support_values(), est.masses_array()) - L / m) < 2.0
+        midpoints = np.arange(est.size) + 0.5
+        assert abs(np.dot(midpoints, est) - L / m) < 2.0
 
 
 def test_estimate_length_pmf_matches_oracle_loosely():
@@ -209,8 +189,8 @@ def test_estimate_length_pmf_matches_oracle_loosely():
     trials, m = 100_000, 5
     est = estimate_length_pmf(L, m, trials, 0)
     oracle = spacing_pmf_oracle(L, m)
-    dev = np.abs(np.array(est.masses) - np.array(oracle.masses))
-    se_max = math.sqrt(max(p * (1 - p) for p in oracle.masses) / (trials * m))
+    dev = np.abs(est - oracle)
+    se_max = math.sqrt(max(p * (1 - p) for p in oracle) / (trials * m))
     assert dev.max() < 5 * se_max
 
 
@@ -222,5 +202,4 @@ def test_estimate_length_pmf_chunking_invariant():
         gaps = np.column_stack([np.diff(s, axis=1), L - s[:, -1] + s[:, 0]])
         idx = np.clip(np.floor(gaps).astype(np.int64), 0, int(L) - 1)
         counts = np.bincount(idx.ravel(), minlength=int(L))
-        want = tuple((counts / counts.sum()).tolist())
-        assert estimate_length_pmf(L, m, trials, 9).masses == want
+        np.testing.assert_array_equal(estimate_length_pmf(L, m, trials, 9), counts / counts.sum())

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from coopsearch import cli
 from coopsearch.cli import main, parse_config
 
 FAST = ["--trials", "4000", "--seed", "7"]
@@ -52,6 +57,12 @@ def config_line_of(text: str) -> list[str]:
         ["pl-hist", "--agents", "2", "--region-length", "inf"],
         ["simulate", "--agents", "3", "--region-length", "inf"],
         ["simulate", "--agents", "3", "--speeds", "inf"],
+        # options a command does not take are argparse errors, which exit 2 as well
+        ["simulate", "--agents", "3", "--agents-range", "2:4"],
+        ["expected", "--agents", "3", "--trials", "10"],
+        ["pl-hist", "--speeds", "1.0"],
+        ["simulate", "--agents", "3", "--with-analytic"],
+        ["compare", "--agents", "3"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
@@ -60,6 +71,65 @@ def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one call per command and the exact config line it echoes; a new option order fails here
+PINNED_ECHOES = [
+    (
+        "pl-hist --agents 2,3 --trials 200 --seed 1",
+        "coopsearch pl-hist --region-length 1000.0 --agents 2,3 --allocation random"
+        " --trials 200 --seed 1 --format dsv",
+    ),
+    (
+        "expected --agents-range 2:4 --strategy Semi_Equal --speeds 1.0",
+        "coopsearch expected --region-length 1000.0 --agents 2,3,4 --strategy semi-equal"
+        " --speeds 1.0:1.0 --format dsv",
+    ),
+    (
+        "simulate --agents 4 --trials 200 --seed 7",
+        "coopsearch simulate --region-length 1000.0 --agents 4 --strategy one-directional"
+        " --allocation random --speeds 0.5:0.3,1.0:0.3,1.375:0.4"
+        " --trials 200 --seed 7 --format dsv",
+    ),
+    (
+        "sweep --agents 3,5 --strategy equal --speeds 1.0 --with-analytic --trials 200",
+        "coopsearch sweep --region-length 1000.0 --agents 3,5 --strategy equal --allocation equal"
+        " --speeds 1.0 --trials 200 --seed 0 --with-analytic --format dsv",
+    ),
+    (
+        "compare --targets grouped_3:6,equal:4 --format structured --trials 200 --seed 2",
+        "coopsearch compare --region-length 1000.0 --targets grouped-3:6,equal:4"
+        " --speeds 0.5:0.3,1.0:0.3,1.375:0.4 --trials 200 --seed 2 --format structured",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, line", PINNED_ECHOES, ids=[c.split()[0] for c, _ in PINNED_ECHOES])
+def test_config_line_is_pinned(call, line, tmp_path):
+    text = run_to_file(shlex.split(call), tmp_path / "a.out")
+    if "structured" in call:
+        echoed = json.loads(text)["config"]
+    else:
+        echoed = text.splitlines()[1].removeprefix("# config: ")
+    assert echoed == line
+    assert run_to_file(shlex.split(line)[1:], tmp_path / "b.out") == text
+
+
+def test_reproduce_results_config_lines_regenerate(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = [sys.executable, str(root / "scripts" / "reproduce_results.py"), "--trials", "500"]
+    subprocess.run(
+        script + ["--outdir", str(tmp_path / "tables")],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        capture_output=True,
+    )
+    files = sorted((tmp_path / "tables").iterdir())
+    assert len(files) == 15
+    for file in files:
+        text = file.read_text()
+        assert run_to_file(config_line_of(text), tmp_path / "replay.csv") == text, file.name
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -126,6 +196,19 @@ def test_expected_equal_closed_form(tmp_path):
     rows = [line.split(",") for line in text.splitlines() if line and not line.startswith(("#", "strategy"))]
     got = {int(m): float(v) for _, m, v in rows}
     assert got == {2: 250.0, 4: 125.0, 10: 50.0}
+
+
+def test_huge_closed_form_enumeration_exits_1(capsys, monkeypatch):
+    # 10 atoms at m=32 is C(41, 9) = 350,343,565 terms; refused before enumerating
+    speeds = ",".join(f"{1 + k / 10}:0.1" for k in range(10))
+    argv = ["expected", "--agents", "32", "--strategy", "proportional", "--speeds", speeds]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    # sweep --with-analytic evaluates its closed forms before it simulates anything
+    monkeypatch.setattr(cli, "sweep_m", lambda *args, **kwargs: pytest.fail("simulated first"))
+    argv = ["sweep", "--agents", "4,32", "--strategy", "proportional", "--with-analytic"]
+    assert main(argv + ["--speeds", speeds] + FAST) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_expected_rejects_simulation_only_strategy(capsys):
@@ -200,7 +283,7 @@ def test_stdout_when_no_output(capsys):
 
 def test_parse_config_normalizes_tokens():
     cfg = parse_config(["simulate", "--agents", "6", "--strategy", "Semi_Equal"] + FAST)
-    assert cfg.method == "semi-equal"
+    assert cfg.strategy == "semi-equal"
     assert cfg.allocation == "semi-equal"
     cfg = parse_config(["compare", "--targets", "grouped_3:6"] + FAST)
     assert cfg.targets == (("grouped-3", 6),)
