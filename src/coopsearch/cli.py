@@ -26,6 +26,7 @@ from .harness import (
     closed_form,
     compare_strategies,
     method_name,
+    parallel_map,
     resolve_method,
     run_trials,
     sweep_m,
@@ -320,10 +321,13 @@ def _stat_row(method: str, m: int, stats, seed: int) -> tuple:
 
 def cmd_pl_hist(ns: argparse.Namespace) -> OutputRecord:
     """estimated vs exact gap-length histogram for random starts"""
-    rows = []
-    for m in ns.agents:
+
+    def estimate(m: int) -> np.ndarray:
         seed = np.random.SeedSequence(entropy=ns.seed, spawn_key=(m,))
-        est = estimate_length_pmf(ns.region_length, m, ns.trials, seed)
+        return estimate_length_pmf(ns.region_length, m, ns.trials, seed)
+
+    rows = []
+    for m, est in zip(ns.agents, parallel_map(estimate, ns.agents, ns.workers, lambda m: m)):
         oracle = spacing_pmf_oracle(ns.region_length, m)
         rows += [(m, k, float(e), float(o)) for k, (e, o) in enumerate(zip(est, oracle))]
     columns = ("m", "bin", "estimated_mass", "oracle_mass")

@@ -8,6 +8,10 @@ Reproducibility contract: results are bit-identical for identical plans at any w
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
 default_rng(SeedSequence(entropy=base_seed, spawn_key=(stream, k))), and partial sums
 are folded in chunk order with compensated summation.
+
+Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
+thread, largest plan first; each plan's chunks run in order on its thread.  A single
+plan spreads its chunks over the pool instead.  Both go through `parallel_map`.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "TrialPlan",
     "SummaryStats",
     "method_name",
+    "parallel_map",
     "resolve_method",
     "closed_form",
     "run_trials",
@@ -250,6 +255,27 @@ def closed_form(plan: TrialPlan) -> float | None:
     return None if form is None else form(plan.region.length, plan.num_agents, law)
 
 
+def parallel_map(fn: Callable, items: Sequence, workers: int | None, size: Callable) -> list:
+    """[fn(item) for item in items] on min(workers, len(items)) threads.
+
+    Items are submitted largest `size` first (ties in the given order), so the longest
+    job does not start last; results come back in the given order.  With one thread
+    every call runs on the calling thread, in the given order.  `workers=None` means
+    one thread per CPU.
+    """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    threads = min(workers, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    order = sorted(range(len(items)), key=lambda i: size(items[i]), reverse=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        return [futures[i].result() for i in range(len(items))]
+
+
 def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=plan.base_seed, spawn_key=(plan.num_agents, chunk_index))
     return np.random.default_rng(ss)
@@ -302,16 +328,9 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
     n_chunks = -(-plan.trials // CHUNK_TRIALS)
     counts = [CHUNK_TRIALS] * n_chunks
     counts[-1] = plan.trials - CHUNK_TRIALS * (n_chunks - 1)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-
-    if workers == 1 or n_chunks == 1:
-        partials = [_chunk_partial(plan, k, counts[k]) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda k: _chunk_partial(plan, k, counts[k]), range(n_chunks)))
+    partials = parallel_map(
+        lambda k: _chunk_partial(plan, k, counts[k]), range(n_chunks), workers, counts.__getitem__
+    )
 
     n = plan.trials
     total = math.fsum(p[0] for p in partials)
@@ -330,6 +349,16 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
     )
 
 
+def _run_plans(plans: list[TrialPlan], workers: int | None) -> list[SummaryStats]:
+    """run_trials for each plan, called through this module's global so a wrapper sees
+    every plan.  Several plans run concurrently, each one's chunks in order on its
+    thread; a single plan spreads its chunks over the workers instead."""
+    per_plan = workers if len(plans) == 1 else 1
+    return parallel_map(
+        lambda plan: run_trials(plan, workers=per_plan), plans, workers, lambda p: p.num_agents * p.trials
+    )
+
+
 def sweep_m(
     template: TrialPlan, m_values: Sequence[int], workers: int | None = None
 ) -> tuple[tuple[int, SummaryStats], ...]:
@@ -337,11 +366,8 @@ def sweep_m(
     ms = list(m_values)
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError(f"m_values must be non-empty and strictly increasing, got {ms}")
-    entries = []
-    for m in ms:
-        plan = replace(template, num_agents=m)
-        entries.append((m, run_trials(plan, workers=workers)))
-    return tuple(entries)
+    stats = _run_plans([replace(template, num_agents=m) for m in ms], workers)
+    return tuple(zip(ms, stats))
 
 
 def compare_strategies(
@@ -358,17 +384,8 @@ def compare_strategies(
     """
     if not targets:
         raise ValueError("compare needs at least one (method, m) target")
-    rows = []
-    for token, m in targets:
-        strategy, allocation = resolve_method(token)
-        plan = TrialPlan(
-            region=region,
-            num_agents=m,
-            strategy=strategy,
-            allocation=allocation,
-            speeds=speeds,
-            trials=trials,
-            base_seed=base_seed,
-        )
-        rows.append((token, m, run_trials(plan, workers=workers)))
-    return tuple(rows)
+    plans = [
+        TrialPlan(region, m, *resolve_method(token), speeds, trials, base_seed) for token, m in targets
+    ]
+    stats = _run_plans(plans, workers)
+    return tuple((token, m, st) for (token, m), st in zip(targets, stats))

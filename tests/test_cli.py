@@ -140,11 +140,11 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 
 def test_workers_flag_does_not_change_output(tmp_path):
-    argv = ["sweep", "--agents", "3,6", "--strategy", "proportional"] + FAST
-    a = run_to_file(argv + ["--workers", "1"], tmp_path / "a.csv")
-    b = run_to_file(argv + ["--workers", "3"], tmp_path / "b.csv")
-    assert a == b
-    assert "--workers" not in a
+    for argv in (["sweep", "--agents", "3,6", "--strategy", "proportional"], ["pl-hist", "--agents", "2,30,5"]):
+        a = run_to_file(argv + FAST + ["--workers", "1"], tmp_path / "a.csv")
+        b = run_to_file(argv + FAST + ["--workers", "3"], tmp_path / "b.csv")
+        assert a == b, argv[0]
+        assert "--workers" not in a
 
 
 def test_config_line_regenerates_file(tmp_path):

@@ -1,6 +1,7 @@
 """Trial runner: determinism, statistics, sweeps, comparisons."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,67 @@ def test_compare_strategies_rows():
     rows = compare_strategies(R, MIXED, [("grouped-3", 6), ("proportional", 5)], trials=20_000)
     assert [(method, m) for method, m, _ in rows] == [("grouped-3", 6), ("proportional", 5)]
     assert all(stats.trials == 20_000 for _, _, stats in rows)
+
+
+def test_plans_identical_at_any_worker_count():
+    # two chunks per plan, and targets out of m order, so largest-first submission
+    # differs from the given order; rows must still come back in the given order
+    targets = [("grouped-2", 14), ("one-directional", 3), ("proportional", 10)]
+    trials = CHUNK_TRIALS + 7
+    compared = {w: compare_strategies(R, MIXED, targets, trials, 3, workers=w) for w in (1, 2, 5)}
+    assert compared[1] == compared[2] == compared[5]
+    assert [(method, m) for method, m, _ in compared[1]] == targets
+    strategy, allocation = resolve_method("grouped-2")
+    assert compared[1][0][2] == run_trials(TrialPlan(R, 14, strategy, allocation, MIXED, trials, 3), workers=1)
+
+    template = plan(m=2, allocation="random", speeds=MIXED, trials=trials)
+    swept = {w: sweep_m(template, [2, 5, 9], workers=w) for w in (1, 2, 5)}
+    assert swept[1] == swept[2] == swept[5]
+    assert [m for m, _ in swept[1]] == [2, 5, 9]
+
+
+def test_one_worker_runs_every_kernel_on_calling_thread(monkeypatch):
+    # a traced benchmark run wraps the kernels and rejects spans from other threads
+    kernel = harness.one_directional_times
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, "one_directional_times", recording)
+    trials = CHUNK_TRIALS + 7
+    sweep_m(plan(m=2, allocation="random", speeds=MIXED, trials=trials), [2, 5], workers=1)
+    compare_strategies(R, MIXED, [("random", 4), ("equal", 3)], trials, workers=1)
+    run_trials(plan(m=3, trials=trials), workers=1)
+    assert threads == [threading.get_ident()] * 10
+
+
+def test_bad_worker_count_rejected_before_any_plan_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(ValueError):
+        sweep_m(plan(trials=1000), [2, 4], workers=0)
+    with pytest.raises(ValueError):
+        sweep_m(plan(trials=1000), [2], workers=0)
+    with pytest.raises(ValueError):
+        compare_strategies(R, MIXED, [("random", 4), ("proportional", 3)], 1000, workers=0)
+    assert ran == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_parallel_map_order_and_thread_count(workers):
+    threads = set()
+
+    def square(k):
+        threads.add(threading.get_ident())
+        return k * k
+
+    items = [3, 9, 1, 7]
+    assert harness.parallel_map(square, items, workers, lambda k: k) == [9, 81, 1, 49]
+    assert len(threads) <= min(workers, len(items))
+    with pytest.raises(ValueError):
+        harness.parallel_map(square, items, 0, lambda k: k)
 
 
 def test_compare_homogeneous_equivalence_smoke():
