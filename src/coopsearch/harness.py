@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -56,6 +57,8 @@ __all__ = [
 
 # fixed chunk size is part of the determinism contract: changing it changes streams
 CHUNK_TRIALS = 32768
+# below this a time's square is subnormal or zero
+_SMALLEST_SQUARABLE = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -315,12 +318,9 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
     x = rng.uniform(0.0, L, count)
 
     times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
-    return (
-        float(np.sum(times)),
-        float(np.sum(times * times)),
-        float(times.min()),
-        float(times.max()),
-    )
+    with np.errstate(over="ignore"):  # run_trials rejects squares out of range
+        total_sq = float(np.sum(times * times))
+    return float(np.sum(times)), total_sq, float(times.min()), float(times.max())
 
 
 def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
@@ -335,6 +335,14 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
     n = plan.trials
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
+    maximum = max(p[3] for p in partials)
+    # the standard error needs the squared times: past about 1e154 they overflow,
+    # and below about 1e-154 every one of them loses its digits to underflow
+    if not math.isfinite(total_sq) or 0.0 < maximum < _SMALLEST_SQUARABLE:
+        raise ValueError(
+            f"simulated times up to {maximum!r} are out of range for a float64 variance; "
+            "rescale the region length or the speeds"
+        )
     mean = total / n
     if n > 1:
         var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
@@ -345,7 +353,7 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
         stderr=math.sqrt(var / n),
         trials=n,
         minimum=min(p[2] for p in partials),
-        maximum=max(p[3] for p in partials),
+        maximum=maximum,
     )
 
 

@@ -3,7 +3,15 @@
 Each *_times kernel takes (trials, m) arrays of agent speeds and starts and the
 trials' solution positions, and returns one time per trial.  They share one
 driver, which checks the batch and runs the kernel's formula per row block of
-about _BLOCK_ENTRIES entries in one reused (rows, m) work array.
+about _BLOCK_ENTRIES entries; the one- and two-directional formulas (and
+proportional through one-directional) work in one reused (rows, m) array.
+numpy pays a fixed cost per row when it reduces along a short row, so rows of
+at most _SWEEP_COLUMNS agents take their minimum a column at a time.
+
+The grouped kernel sorts each row's starts once with the default sort.  Equal
+starts have more than one sorted order, and the stable one is the contract, so
+only rows with a tie sort again, stably.  It then gathers just the owner group's
+speeds and sums them in sorted order at that group's width.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -28,6 +36,26 @@ __all__ = [
 ]
 
 
+# rows of at most this many entries take their minimum a column at a time
+_SWEEP_COLUMNS = 16
+# numpy's add.reduce sums a row of at most this many entries left to right, as a
+# column sweep does, and a longer one pairwise
+_SUM_SWEEP_COLUMNS = 7
+
+
+def _reduce_rows(ufunc, d: np.ndarray, out: np.ndarray, sweep_width: int) -> np.ndarray:
+    """`ufunc.reduce(d, axis=1, out=out)`.  Rows of at most `sweep_width` entries are
+    reduced one column at a time instead, because numpy pays a fixed cost per row
+    when it reduces along short rows; a caller picks a width at which the two agree
+    bit for bit."""
+    if d.shape[1] > sweep_width:
+        return ufunc.reduce(d, axis=1, out=out)
+    out[...] = d[:, 0]
+    for j in range(1, d.shape[1]):
+        ufunc(out, d[:, j], out=out)
+    return out
+
+
 def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
     # min and max carry a NaN through, and the comparison then rejects it
     if a.size and not (a.min() >= 0.0 and a.max() < length):
@@ -46,6 +74,10 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
     if length <= 0:
         raise ValueError(f"region length must be positive, got {length!r}")
     _require_in_region(x, length, "solution positions")
+    # fixed starts arrive as one broadcast row, checked once; drawn starts per block
+    broadcast = starts is not None and starts.strides[0] == 0
+    if broadcast:
+        _require_in_region(starts[:1], length, "agent starts")
     blocks = list(_row_blocks(trials, m))
     # one work array per call: a block's (rows, m) temporaries freed on return are
     # handed back to the OS and faulted in again for the next block
@@ -55,7 +87,8 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
         s = None
         if starts is not None:
             s = starts[rows]
-            _require_in_region(s, length, "agent starts")
+            if not broadcast:
+                _require_in_region(s, length, "agent starts")
         block(s, speeds[rows], x[rows], length, work[: rows.stop - rows.start], out[rows])
     return out
 
@@ -71,7 +104,7 @@ def _one_directional_block(s, v, x, length, d, out) -> None:
     np.subtract(x[:, None], s, out=d)
     _wrap(d, length)
     d /= v
-    d.min(axis=1, out=out)
+    _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 
 def _two_directional_block(s, v, x, length, d, out) -> None:
@@ -81,29 +114,51 @@ def _two_directional_block(s, v, x, length, d, out) -> None:
     np.abs(d, out=d)
     np.minimum(d, length - d, out=d)
     d /= 0.5 * v
-    d.min(axis=1, out=out)
+    _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 
-def _grouped_block(group_size, s, v, x, length, rates, out) -> None:
-    order = np.argsort(s, axis=1, kind="stable")
-    v = np.take_along_axis(v, order, axis=1)
-    bounds = np.take_along_axis(s, order[:, ::group_size], axis=1)  # each group's first start
+def _grouped_block(group_size, s, v, x, length, _, out) -> None:
+    trials, m = s.shape
+    order = np.argsort(s, axis=1)
+    srt = np.take_along_axis(s, order, axis=1)
+    # only equal starts have another sorted order, and the stable one is the contract
+    tie = srt[:, 1:] == srt[:, :-1]
+    if tie.any():
+        tied = tie.any(axis=1)
+        order[tied] = np.argsort(s[tied], axis=1, kind="stable")
+        # -0.0 and 0.0 tie, so the sorted starts follow the stable order too
+        srt[tied] = np.take_along_axis(s[tied], order[tied], axis=1)
+    bounds = srt[:, ::group_size]  # each group's first start
     G = bounds.shape[1]
     # owner group: largest boundary at or before x, wrapping to the last group
-    pos = (bounds <= x[:, None]).sum(axis=1) - 1
+    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS)
+    pos -= 1
     pos[pos < 0] = G - 1
-    for g in range(G):
-        v[:, g * group_size : (g + 1) * group_size].sum(axis=1, out=rates[:, g])
-    rows = np.arange(len(x))
+    rows = np.arange(trials)
     np.subtract(x, bounds[rows, pos], out=out)
     _wrap(out, length)
-    out /= rates[rows, pos]
+    # the owner group's speeds in sorted order, gathered a member at a time and
+    # summed at that group's own width, so a ragged last group sums its own only
+    flat = order.reshape(-1)
+    rate = np.empty(trials)
+    ragged = m - (G - 1) * group_size
+    parts = [(rows, group_size)]
+    if ragged < group_size:
+        parts = [(rows[pos < G - 1], group_size), (rows[pos == G - 1], ragged)]
+    for r, width in parts:
+        first = r * m + pos[r] * group_size  # the group's first member in `flat`
+        speeds = np.empty((len(r), width))
+        for j in range(width):
+            speeds[:, j] = v[r, flat[first + j]]
+        rate[r] = _reduce_rows(np.add, speeds, np.empty(len(r)), _SUM_SWEEP_COLUMNS)
+    out /= rate
 
 
 def _proportional_block(_, v, x, length, d, out) -> None:
     # arcs of length v * L / sum(v) head to tail from 0; the starts are the running
     # sums, clamped at L where rounding carries a start past it
-    np.multiply(v, (length / v.sum(axis=1))[:, None], out=d)
+    total = _reduce_rows(np.add, v, np.empty(len(x)), _SUM_SWEEP_COLUMNS)
+    np.multiply(v, (length / total)[:, None], out=d)
     np.cumsum(d, axis=1, out=d)
     d[:, 1:] = d[:, :-1]
     d[:, 0] = 0.0

@@ -211,6 +211,18 @@ def test_huge_closed_form_enumeration_exits_1(capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extreme",
+    [["--region-length", "1e200"], ["--speeds", "1e-300"], ["--region-length", "1e-200"]],
+)
+def test_times_whose_squares_leave_float_range_exit_1(capsys, extreme):
+    # the squared times overflow or underflow, so no standard error can be given
+    assert main(["simulate", "--agents", "3", "--trials", "10", *extreme]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "out of range" in captured.err
+
+
 def test_expected_rejects_simulation_only_strategy(capsys):
     assert main(["expected", "--agents", "5", "--strategy", "grouped-2"]) == 2
     assert "simulate" in capsys.readouterr().err

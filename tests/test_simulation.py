@@ -18,7 +18,12 @@ from coopsearch.simulation import (
     proportional_times,
     two_directional_times,
 )
-from coopsearch.simulation import _grouped_block, _proportional_block
+from coopsearch.simulation import (
+    _SWEEP_COLUMNS,
+    _grouped_block,
+    _proportional_block,
+    _reduce_rows,
+)
 
 L = 1000.0
 ONE = StrategySpec("one-directional")
@@ -264,6 +269,22 @@ def proportional_oracle(speeds, x, length):
     return offs[rows, owner] / speeds[rows, owner]
 
 
+def grouped_oracle(starts, speeds, x, length, group_size):
+    """The grouped kernel before the owner-only gather: a stable sort of every row,
+    the whole speed matrix gathered in sorted order, and one sum per group."""
+    order = np.argsort(starts, axis=1, kind="stable")
+    sorted_speeds = np.take_along_axis(speeds, order, axis=1)
+    bounds = np.take_along_axis(starts, order[:, ::group_size], axis=1)
+    G = bounds.shape[1]
+    pos = (bounds <= x[:, None]).sum(axis=1) - 1
+    pos[pos < 0] = G - 1
+    rates = np.empty((len(x), G))
+    for g in range(G):
+        sorted_speeds[:, g * group_size : (g + 1) * group_size].sum(axis=1, out=rates[:, g])
+    rows = np.arange(len(x))
+    return wrap_offsets_oracle(x - bounds[rows, pos], length) / rates[rows, pos]
+
+
 def adversarial_batch(m, seed):
     """Random trials over four row blocks, the last one ragged, with edge positions planted."""
     rng = np.random.default_rng(seed)
@@ -287,7 +308,20 @@ def adversarial_batch(m, seed):
     return starts, speeds, x
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 256])
+# both sides of the column-sweep cutoff for row reductions (_SWEEP_COLUMNS = 16)
+AGENT_COUNTS = [1, 2, 4, 7, 8, 9, 16, 17, 33, 256]
+
+
+@pytest.mark.parametrize("m", AGENT_COUNTS)
+def test_row_minimum_matches_row_reduction(m):
+    rng = np.random.default_rng(m)
+    d = rng.choice([0.0, 0.1, 0.3, 2.5, np.inf], size=(500, m)) + rng.uniform(0, 1e-3, (500, m))
+    d[::3] = 7.0  # rows of equal entries
+    got = _reduce_rows(np.minimum, d, np.empty(len(d)), _SWEEP_COLUMNS)
+    assert np.array_equal(got, d.min(axis=1))
+
+
+@pytest.mark.parametrize("m", AGENT_COUNTS)
 def test_one_directional_kernel_bit_identical(m):
     starts, speeds, x = adversarial_batch(m, seed=m)
     got = one_directional_times(starts, speeds, x, L)
@@ -299,7 +333,7 @@ def test_one_directional_kernel_bit_identical(m):
     assert np.array_equal(got, one_directional_oracle(fixed, unit, x, L))
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 256])
+@pytest.mark.parametrize("m", AGENT_COUNTS)
 def test_two_directional_kernel_bit_identical(m):
     starts, speeds, x = adversarial_batch(m, seed=100 + m)
     got = two_directional_times(starts, speeds, x, L)
@@ -345,10 +379,38 @@ def one_pass(block, starts, speeds, x):
     return out
 
 
+def tied_batch(m, seed):
+    """An adversarial batch with speeds whose sum depends on its order, ties among the
+    starts inside groups and across group boundaries, and x on agent starts."""
+    starts, _, x = adversarial_batch(m, seed)
+    rng = np.random.default_rng(seed)
+    speeds = rng.choice([0.1, 0.2, 0.3, 0.7, 1.375, 3.7], size=starts.shape)
+    few = slice(40, len(x) // 2)
+    starts[few] = rng.integers(0, 3, starts[few].shape) * (L / 3)  # many ties per row
+    pairs = slice(len(x) // 2, len(x) // 2 + 200)
+    starts[pairs, 1::2] = starts[pairs, 0:-1:2]  # neighbours in id order share a start
+    on = slice(len(x) // 2 + 200, len(x) // 2 + 260)
+    x[on] = starts[on, rng.integers(0, m)]  # x on an agent's start, often a boundary
+    return starts, speeds, x
+
+
+@pytest.mark.parametrize("m", AGENT_COUNTS)
+def test_grouped_kernel_bit_identical(m):
+    starts, speeds, x = tied_batch(m, seed=400 + m)
+    fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
+    fixed_speeds = np.broadcast_to(np.resize([0.1, 0.2, 0.3, 0.7], m), starts.shape)
+    # group sizes on both sides of the width-8 switch in the sum, ragged or not
+    for n in range(1, min(m, 12) + 1):
+        got = grouped_times(starts, speeds, x, L, n)
+        assert np.array_equal(got, grouped_oracle(starts, speeds, x, L, n)), n
+        got = grouped_times(fixed, fixed_speeds, x, L, n)
+        assert np.array_equal(got, grouped_oracle(fixed, fixed_speeds, x, L, n)), n
+
+
 @pytest.mark.parametrize("m", [2, 7, 256])
 def test_grouped_and_proportional_blocks_match_one_pass(m):
     starts, speeds, x = adversarial_batch(m, seed=200 + m)
-    for n in sorted({1, 2, m}):
+    for n in sorted(n for n in {1, 2, 3, 4, 8, 9, m} if n <= m):
         got = grouped_times(starts, speeds, x, L, n)
         assert np.array_equal(got, one_pass(partial(_grouped_block, n), starts, speeds, x))
     got = proportional_times(speeds, x, L)
@@ -372,6 +434,11 @@ def test_kernels_reject_positions_outside_region(bad):
         bad_starts[-1, 3] = bad  # in the last row block, not the first
         with pytest.raises(ValueError, match="outside"):
             kernel(bad_starts, x)
+        # fixed starts arrive as one broadcast row
+        row = np.arange(7) * (L / 7)
+        row[3] = bad
+        with pytest.raises(ValueError, match="outside"):
+            kernel(np.broadcast_to(row, starts.shape), x)
     bad_x = x.copy()
     bad_x[-1] = bad
     with pytest.raises(ValueError, match="outside"):
