@@ -49,7 +49,7 @@ def main() -> None:
     # homogeneous agents (V=1): the three division methods, analytic overlay
     for method in HOMOGENEOUS_METHODS:
         run(
-            ["sweep", "--agents-range", "2:32", "--strategy", method, "--speeds", "1.0", "--with-analytic"]
+            ["sweep", "--agents", "2:32", "--strategy", method, "--speeds", "1.0", "--with-analytic"]
             + common,
             args.outdir / f"homogeneous_{method.replace('-', '_')}.csv",
         )
@@ -57,7 +57,7 @@ def main() -> None:
     # heterogeneous agents (default speed pmf): the search strategies
     for strategy in HETEROGENEOUS_STRATEGIES:
         run(
-            ["sweep", "--agents-range", "4:32:4", "--strategy", strategy] + common,
+            ["sweep", "--agents", "4:32:4", "--strategy", strategy] + common,
             args.outdir / f"heterogeneous_{strategy.replace('-', '_')}.csv",
         )
 
@@ -67,7 +67,7 @@ def main() -> None:
     # closed forms alone, no simulation
     for method in ("equal", "semi-equal", "random", "proportional"):
         run(
-            ["expected", "--agents-range", "2:32", "--strategy", method],
+            ["expected", "--agents", "2:32", "--strategy", method],
             args.outdir / f"closed_form_{method.replace('-', '_')}.csv",
         )
 

@@ -16,10 +16,22 @@ __all__ = [
     "spacing_pmf_oracle",
 ]
 
+# unit bins a gap histogram may have; every table uses L = 1000
+_MAX_BINS = 10**6
+
 
 def _require_agent_count(m: int) -> None:
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"agent count must be a positive integer, got {m!r}")
+
+
+def _bin_count(region_length: float) -> int:
+    """How many unit bins [k, k+1) cover a gap of up to L; past _MAX_BINS, ValueError."""
+    if not 0 < region_length <= _MAX_BINS:
+        raise ValueError(
+            f"gap histogram needs 0 < L <= {_MAX_BINS} (one bin per unit), got {region_length!r}"
+        )
+    return math.ceil(region_length)
 
 
 def semi_equal_starts(length: float, m: int) -> list[float]:
@@ -74,8 +86,8 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.n
     _require_agent_count(m)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    nbins = _bin_count(region_length)
     rng = np.random.default_rng(seed)
-    nbins = math.ceil(region_length)
     counts = np.zeros(nbins, dtype=np.int64)
     for rows in _row_blocks(trials, m):
         s = np.sort(rng.uniform(0.0, region_length, (rows.stop - rows.start, m)), axis=1)
@@ -96,7 +108,6 @@ def spacing_pmf_oracle(region_length: float, m: int) -> np.ndarray:
     if m < 2:
         raise ValueError(f"gap law needs at least 2 points, got m={m}")
     L = region_length
-    nbins = math.ceil(L)
-    k = np.arange(nbins, dtype=float)
+    k = np.arange(_bin_count(L), dtype=float)
     hi = np.minimum(k + 1.0, L)
     return (1.0 - k / L) ** (m - 1) - (1.0 - hi / L) ** (m - 1)

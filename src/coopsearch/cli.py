@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_SPEEDS = "0.5:0.3,1.0:0.3,1.375:0.4"
 DEFAULT_TARGETS = "one-directional:23,two-directional:14,grouped-3:12,grouped-4:11,proportional:10"
 DEFAULT_HIST_AGENTS = "2,5,10,20,30"
+AGENTS_HELP = "agent counts m1,m2,... or the range lo:hi[:step], hi included"
 STAT_COLUMNS = ("strategy", "m", "mean", "stderr", "ci95", "trials", "seed")
 
 
@@ -74,26 +75,20 @@ class OutputRecord:
         lines = [f"# coopsearch {__version__}", f"# config: {self.config_line}"]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_cell(v) for v in row))
+            lines.append(",".join("" if v is None else str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
+def _items(text: str, option: str) -> list[str]:
+    """The comma-separated entries of an option's text, blank entries dropped."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise CliError(f"empty {option} value {text!r}")
+    return items
 
 
 def _parse_speeds(text: str) -> SpeedDistribution | tuple[float, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise CliError(f"empty --speeds value {text!r}")
+    items = _items(text, "--speeds")
     pairs = [t.split(":", 1) for t in items]
     if len({len(pair) for pair in pairs}) > 1:
         raise CliError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
@@ -107,44 +102,30 @@ def _parse_speeds(text: str) -> SpeedDistribution | tuple[float, ...]:
 
 def _speeds_text(speeds: SpeedDistribution | tuple[float, ...]) -> str:
     if isinstance(speeds, SpeedDistribution):
-        return ",".join(f"{_fmt_float(v)}:{_fmt_float(p)}" for v, p in speeds.atoms)
-    return ",".join(_fmt_float(v) for v in speeds)
+        return ",".join(f"{v}:{p}" for v, p in speeds.atoms)
+    return ",".join(map(str, speeds))
 
 
-def _parse_agents(ns) -> tuple[int, ...]:
-    listed = ns.agents
-    ranged = getattr(ns, "agents_range", None)
-    if listed is not None and ranged is not None:
-        raise CliError("give --agents or --agents-range, not both")
-    if listed is not None:
-        try:
-            values = tuple(int(t) for t in listed.split(",") if t.strip())
-        except ValueError:
-            raise CliError(f"bad --agents value {listed!r}") from None
-        if not values:
-            raise CliError(f"bad --agents value {listed!r}")
-        return values
-    if ranged is not None:
-        parts = ranged.split(":")
-        if len(parts) not in (2, 3):
-            raise CliError(f"bad --agents-range value {ranged!r}, expected start:stop[:step]")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise CliError(f"bad --agents-range value {ranged!r}") from None
-        if step < 1 or hi < lo:
-            raise CliError(f"bad --agents-range value {ranged!r}")
-        return tuple(range(lo, hi + 1, step))
-    return tuple(range(2, 33))  # expected and sweep default to m = 2..32
+def _parse_agents(text: str) -> tuple[int, ...]:
+    """`m1,m2,...`, or the range `lo:hi[:step]` with hi included and step >= 1."""
+    ranged = ":" in text
+    bad = f"bad --agents value {text!r}, expected m1,m2,... or lo:hi[:step], lo <= hi, step >= 1"
+    parts = text.split(":") if ranged else _items(text, "--agents")
+    try:
+        values = [int(t) for t in parts]
+    except ValueError:
+        raise CliError(bad) from None
+    if not ranged:
+        return tuple(values)
+    lo, hi, step = (values + [1])[:3]
+    if len(values) > 3 or step < 1 or hi < lo:
+        raise CliError(bad)
+    return tuple(range(lo, hi + 1, step))
 
 
 def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _items(text, "--targets"):
         token, sep, m_text = item.rpartition(":")
         if not sep:
             raise CliError(f"bad --targets entry {item!r}, expected method:m")
@@ -153,8 +134,6 @@ def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
         except ValueError:
             raise CliError(f"bad agent count in --targets entry {item!r}") from None
         out.append((token.strip(), m))
-    if not out:
-        raise CliError(f"empty --targets value {text!r}")
     return tuple(out)
 
 
@@ -171,17 +150,16 @@ _SEARCHING = ("expected", "simulate", "sweep", "compare")  # the commands that m
 # `echo` writes an option's canonical value into the config line; a set store_true
 # flag echoes bare, and a row without `echo` never appears in the config line.
 OPTIONS = (
-    ("--region-length", _every(*_ALL, type=float, default=1000.0), _fmt_float),
+    ("--region-length", _every(*_ALL, type=float, default=1000.0), str),
     (
         "--agents",
         {
-            "pl-hist": {"default": DEFAULT_HIST_AGENTS},
-            "simulate": {"required": True},
-            **_every("expected", "sweep"),
+            "pl-hist": {"default": DEFAULT_HIST_AGENTS, "help": AGENTS_HELP},
+            "simulate": {"required": True, "help": "one agent count m"},
+            **_every("expected", "sweep", default="2:32", help=AGENTS_HELP),
         },
         lambda agents: ",".join(str(m) for m in agents),
     ),
-    ("--agents-range", _every("expected", "sweep"), None),
     (
         "--targets",
         _every("compare", default=DEFAULT_TARGETS),
@@ -261,7 +239,7 @@ def _validated(ns: argparse.Namespace) -> argparse.Namespace:
     if "speeds" in ns:
         ns.speeds = _parse_speeds(ns.speeds)
     if "agents" in ns:
-        ns.agents = _parse_agents(ns)
+        ns.agents = _parse_agents(ns.agents)
     if "targets" in ns:
         ns.targets = tuple((_canonical(token)[0], m) for token, m in _parse_targets(ns.targets))
     if "strategy" in ns:

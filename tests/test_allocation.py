@@ -169,6 +169,18 @@ def test_spacing_pmf_oracle_normalized_and_monotone():
         spacing_pmf_oracle(L, 1)
 
 
+def test_histogram_bin_budget():
+    # 10**6 unit bins fit: L = 1e6 is the largest region a gap histogram takes
+    masses = spacing_pmf_oracle(1e6, 2)
+    assert masses.shape == (10**6,)
+    assert math.isclose(math.fsum(masses), 1.0, rel_tol=1e-9)
+    for length in (1e6 + 0.5, 1e6 + 1, 1e300, math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="gap histogram"):
+            spacing_pmf_oracle(length, 2)
+        with pytest.raises(ValueError, match="gap histogram"):
+            estimate_length_pmf(length, 2, 10, 0)
+
+
 def test_estimate_length_pmf_deterministic():
     a = estimate_length_pmf(L, 5, 20_000, 42)
     b = estimate_length_pmf(L, 5, 20_000, 42)

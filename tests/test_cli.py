@@ -6,8 +6,10 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coopsearch import cli
@@ -63,6 +65,13 @@ def config_line_of(text: str) -> list[str]:
         ["pl-hist", "--speeds", "1.0"],
         ["simulate", "--agents", "3", "--with-analytic"],
         ["compare", "--agents", "3"],
+        # the --agents grammar: m1,m2,... or lo:hi[:step] with lo <= hi and step >= 1
+        ["sweep", "--agents", "5:2"],
+        ["sweep", "--agents", "2:8:0"],
+        ["expected", "--agents", "2:8:-1"],
+        ["expected", "--agents", "1:2:3:4"],
+        ["pl-hist", "--agents", "2:x"],
+        ["simulate", "--agents", ","],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
@@ -81,7 +90,7 @@ PINNED_ECHOES = [
         " --trials 200 --seed 1 --format dsv",
     ),
     (
-        "expected --agents-range 2:4 --strategy Semi_Equal --speeds 1.0",
+        "expected --agents 2:4 --strategy Semi_Equal --speeds 1.0",
         "coopsearch expected --region-length 1000.0 --agents 2,3,4 --strategy semi-equal"
         " --speeds 1.0:1.0 --format dsv",
     ),
@@ -173,11 +182,22 @@ def test_config_line_materializes_defaults(tmp_path):
 
 
 def test_agents_range_expanded_in_echo(tmp_path):
-    argv = ["sweep", "--agents-range", "2:8:3", "--strategy", "equal", "--speeds", "1.0"] + FAST
+    argv = ["sweep", "--agents", "2:8:3", "--strategy", "equal", "--speeds", "1.0"] + FAST
     text = run_to_file(argv, tmp_path / "r.csv")
     assert "--agents 2,5,8" in " ".join(config_line_of(text))
     regenerated = run_to_file(config_line_of(text), tmp_path / "r2.csv")
     assert regenerated == text
+
+
+def test_pl_hist_takes_an_agent_range(tmp_path):
+    text = run_to_file(["pl-hist", "--agents", "2:4", "--trials", "200"], tmp_path / "h.csv")
+    assert "--agents 2,3,4" in " ".join(config_line_of(text))
+    assert sorted({row["m"] for row in table_of(text)}) == ["2", "3", "4"]
+
+
+def test_render_prints_numpy_floats_plainly():
+    record = cli.OutputRecord(("m", "mean", "analytic"), ((2, np.float64(0.25), None),), "coopsearch")
+    assert record.render("dsv").splitlines()[-1] == "2,0.25,"
 
 
 def test_structured_format_roundtrip(tmp_path):
@@ -209,6 +229,20 @@ def test_huge_closed_form_enumeration_exits_1(capsys, monkeypatch):
     argv = ["sweep", "--agents", "4,32", "--strategy", "proportional", "--with-analytic"]
     assert main(argv + ["--speeds", speeds] + FAST) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["1e300", "1e13", "1000001"])
+def test_histogram_past_bin_budget_exits_1(length, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["pl-hist", "--agents", "2", "--trials", "10", "--region-length", length])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert peak < 1_000_000  # rejected before any allocation: 10**6 bins take 8 MB
 
 
 @pytest.mark.parametrize(
@@ -264,8 +298,8 @@ def table_of(text: str) -> list[dict[str, str]]:
 
 @pytest.mark.parametrize("method", ["equal", "semi-equal", "random", "proportional"])
 def test_sweep_analytic_is_expected_closed_form(method, tmp_path):
-    sweep = ["sweep", "--agents-range", "2:32", "--strategy", method, "--with-analytic", "--trials", "1000"]
-    expected = ["expected", "--agents-range", "2:32", "--strategy", method]
+    sweep = ["sweep", "--agents", "2:32", "--strategy", method, "--with-analytic", "--trials", "1000"]
+    expected = ["expected", "--agents", "2:32", "--strategy", method]
     analytic = [row["analytic"] for row in table_of(run_to_file(sweep, tmp_path / "s.csv"))]
     exact = [row["expected_time"] for row in table_of(run_to_file(expected, tmp_path / "e.csv"))]
     assert len(analytic) == 31
@@ -313,3 +347,24 @@ def test_compare_labels_match_simulate(tmp_path):
     assert "--targets grouped-3:6,grouped-3:6,semi-equal:4" in " ".join(config_line_of(text))
     argv = ["simulate", "--agents", "6", "--strategy", "grouped-03"] + FAST
     assert table_of(run_to_file(argv, tmp_path / "s.csv"))[0]["strategy"] == "grouped-3"
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("coopsearch "):
+            lines.append(line)
+    assert len(lines) >= 5
+    for line in lines:
+        parse_config(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_has_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--format" in out
+    assert ("lo:hi[:step]" in out) == (command in ("pl-hist", "expected", "sweep"))
