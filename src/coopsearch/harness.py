@@ -7,7 +7,9 @@ kernel dispatch and `closed_form` all read that table.
 Reproducibility contract: results are bit-identical for identical plans at any worker
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
 default_rng(SeedSequence(entropy=base_seed, spawn_key=(stream, k))), and partial sums
-are folded in chunk order with compensated summation.
+are folded in chunk order with compensated summation.  A chunk's stream is its random
+starts, sampled speeds and solution positions, in that order; the kernel loop draws the
+starts a row block at a time, and a generator advanced past them draws the rest.
 
 Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
 thread, largest plan first; each plan's chunks run in order on its thread.  A single
@@ -284,6 +286,28 @@ def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+class _DrawnStarts:
+    """A chunk's random starts, `rng.uniform(0, L, shape)` bit for bit, drawn a row block
+    at a time as a kernel reads them, in row order, into one reused buffer.  numpy's
+    uniform(0, L) is 0.0 + L * u, the same bits as `rng.random` scaled by L."""
+
+    def __init__(self, rng: np.random.Generator, length: float, shape: tuple[int, int]) -> None:
+        self.shape, self._rng, self._length = shape, rng, length
+        self._next, self._buf = 0, np.empty((0, shape[1]))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if (start, step) != (self._next, 1):
+            raise IndexError(f"random starts are drawn in row order: next row {self._next}, got {rows}")
+        if stop - start > len(self._buf):
+            self._buf = np.empty((stop - start, self.shape[1]))
+        block = self._buf[: stop - start]
+        self._rng.random(out=block)
+        block *= self._length
+        self._next = stop
+        return block
+
+
 def _fixed_starts(plan: TrialPlan) -> np.ndarray | None:
     L = plan.region.length
     m = plan.num_agents
@@ -300,7 +324,10 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
     m = plan.num_agents
 
     if plan.allocation == "random":
-        starts = rng.uniform(0.0, L, (count, m))
+        starts = _DrawnStarts(rng, L, (count, m))
+        # speeds and x follow the starts: the chunk's generator anew, advanced past them
+        rng = _chunk_rng(plan, chunk_index)
+        rng.bit_generator.advance(count * m)
     elif plan.allocation == "proportional":
         starts = None
     else:

@@ -6,12 +6,14 @@ driver, which checks the batch and runs the kernel's formula per row block of
 about _BLOCK_ENTRIES entries; the one- and two-directional formulas (and
 proportional through one-directional) work in one reused (rows, m) array.
 numpy pays a fixed cost per row when it reduces along a short row, so rows of
-at most _SWEEP_COLUMNS agents take their minimum a column at a time.
+at most _SWEEP_COLUMNS agents take their minimum, and proportional its prefix
+sums, a column at a time.
 
 The grouped kernel sorts each row's starts once with the default sort.  Equal
 starts have more than one sorted order, and the stable one is the contract, so
-only rows with a tie sort again, stably.  It then gathers just the owner group's
-speeds and sums them in sorted order at that group's width.
+only rows with a tie sort again, stably.  Short rows, and a broadcast row, which
+is sorted once, take the stable sort directly.  It then gathers just the owner
+group's speeds and sums them in sorted order at that group's width.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -36,11 +38,13 @@ __all__ = [
 ]
 
 
-# rows of at most this many entries take their minimum a column at a time
-_SWEEP_COLUMNS = 16
+# rows of at most this many entries take their minimum and prefix sums a column at a time
+_SWEEP_COLUMNS = 32
 # numpy's add.reduce sums a row of at most this many entries left to right, as a
 # column sweep does, and a longer one pairwise
 _SUM_SWEEP_COLUMNS = 7
+# rows of at most this many starts sort faster with numpy's stable sort than its default
+_STABLE_SORT_COLUMNS = 4
 
 
 def _reduce_rows(ufunc, d: np.ndarray, out: np.ndarray, sweep_width: int) -> np.ndarray:
@@ -54,6 +58,16 @@ def _reduce_rows(ufunc, d: np.ndarray, out: np.ndarray, sweep_width: int) -> np.
     for j in range(1, d.shape[1]):
         ufunc(out, d[:, j], out=out)
     return out
+
+
+def _prefix_sums(d: np.ndarray) -> None:
+    """`np.cumsum(d, axis=1, out=d)`, which also adds left to right, a column at a time
+    in rows of at most _SWEEP_COLUMNS entries."""
+    if d.shape[1] > _SWEEP_COLUMNS:
+        np.cumsum(d, axis=1, out=d)
+    else:
+        for j in range(1, d.shape[1]):
+            d[:, j] += d[:, j - 1]
 
 
 def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
@@ -75,7 +89,7 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
         raise ValueError(f"region length must be positive, got {length!r}")
     _require_in_region(x, length, "solution positions")
     # fixed starts arrive as one broadcast row, checked once; drawn starts per block
-    broadcast = starts is not None and starts.strides[0] == 0
+    broadcast = isinstance(starts, np.ndarray) and starts.strides[0] == 0
     if broadcast:
         _require_in_region(starts[:1], length, "agent starts")
     blocks = list(_row_blocks(trials, m))
@@ -119,17 +133,18 @@ def _two_directional_block(s, v, x, length, d, out) -> None:
 
 def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     trials, m = s.shape
-    order = np.argsort(s, axis=1)
-    srt = np.take_along_axis(s, order, axis=1)
+    one_row = s.strides[0] == 0  # fixed starts: one broadcast row, sorted once
+    stable = one_row or m <= _STABLE_SORT_COLUMNS
+    order = np.argsort(s[:1] if one_row else s, axis=1, kind="stable" if stable else None)
+    srt = np.take_along_axis(s[: len(order)], order, axis=1)
     # only equal starts have another sorted order, and the stable one is the contract
-    tie = srt[:, 1:] == srt[:, :-1]
-    if tie.any():
+    if not stable and (tie := srt[:, 1:] == srt[:, :-1]).any():
         tied = tie.any(axis=1)
         order[tied] = np.argsort(s[tied], axis=1, kind="stable")
         # -0.0 and 0.0 tie, so the sorted starts follow the stable order too
         srt[tied] = np.take_along_axis(s[tied], order[tied], axis=1)
-    bounds = srt[:, ::group_size]  # each group's first start
-    G = bounds.shape[1]
+    G = -(-m // group_size)
+    bounds = np.broadcast_to(srt[:, ::group_size], (trials, G))  # each group's first start
     # owner group: largest boundary at or before x, wrapping to the last group
     pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS)
     pos -= 1
@@ -140,13 +155,14 @@ def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     # the owner group's speeds in sorted order, gathered a member at a time and
     # summed at that group's own width, so a ragged last group sums its own only
     flat = order.reshape(-1)
+    row_step = 0 if one_row else m  # where each row's order starts in `flat`
     rate = np.empty(trials)
     ragged = m - (G - 1) * group_size
     parts = [(rows, group_size)]
     if ragged < group_size:
         parts = [(rows[pos < G - 1], group_size), (rows[pos == G - 1], ragged)]
     for r, width in parts:
-        first = r * m + pos[r] * group_size  # the group's first member in `flat`
+        first = r * row_step + pos[r] * group_size  # the group's first member in `flat`
         speeds = np.empty((len(r), width))
         for j in range(width):
             speeds[:, j] = v[r, flat[first + j]]
@@ -159,7 +175,7 @@ def _proportional_block(_, v, x, length, d, out) -> None:
     # sums, clamped at L where rounding carries a start past it
     total = _reduce_rows(np.add, v, np.empty(len(x)), _SUM_SWEEP_COLUMNS)
     np.multiply(v, (length / total)[:, None], out=d)
-    np.cumsum(d, axis=1, out=d)
+    _prefix_sums(d)
     d[:, 1:] = d[:, :-1]
     d[:, 0] = 0.0
     np.minimum(d, length, out=d)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from coopsearch import harness
+from coopsearch.allocation import semi_equal_starts
 from coopsearch.analytics import expected_time_random_starts
 from coopsearch.harness import (
     CHUNK_TRIALS,
@@ -22,7 +24,12 @@ from coopsearch.harness import (
     sweep_m,
 )
 from coopsearch.model import RegionSpec, SpeedDistribution
-from coopsearch.simulation import one_directional_times
+from coopsearch.simulation import (
+    grouped_times,
+    one_directional_times,
+    proportional_times,
+    two_directional_times,
+)
 
 R = RegionSpec(1000.0)
 L = 1000.0
@@ -100,37 +107,115 @@ def test_run_trials_worker_independence():
     assert len(results) == 1
 
 
+ONE_SHOT_KERNELS = {
+    "one-directional": lambda s, v, x, n: one_directional_times(s, v, x, L),
+    "two-directional": lambda s, v, x, n: two_directional_times(s, v, x, L),
+    "grouped": lambda s, v, x, n: grouped_times(s, v, x, L, n),
+    "proportional": lambda s, v, x, n: proportional_times(v, x, L),
+}
+
+
+def one_shot_chunks(p):
+    """Each chunk's times from the documented stream layout, drawn the plain way: the
+    chunk's generator draws all its starts, then all its speeds, then x, each at once."""
+    m = p.num_agents
+    chunks = []
+    for k, lo in enumerate(range(0, p.trials, CHUNK_TRIALS)):
+        shape = (min(CHUNK_TRIALS, p.trials - lo), m)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=p.base_seed, spawn_key=(m, k)))
+        starts = None  # proportional places its own
+        if p.allocation == "random":
+            starts = rng.uniform(0, L, shape)
+        elif p.allocation == "equal":
+            starts = np.broadcast_to(np.arange(m) * (L / m), shape)
+        elif p.allocation == "semi-equal":
+            starts = np.broadcast_to(np.array(semi_equal_starts(L, m)), shape)
+        law = p.speeds
+        if isinstance(law, SpeedDistribution) and not law.is_degenerate():
+            speeds = rng.choice(law.speeds, size=shape, p=law.masses)
+        else:  # one shared speed or one per agent, and no draw
+            speeds = np.broadcast_to(law.speeds if isinstance(law, SpeedDistribution) else law, shape)
+        x = rng.uniform(0, L, shape[0])
+        chunks.append(ONE_SHOT_KERNELS[p.strategy.kind](starts, speeds, x, p.strategy.group_size))
+    return chunks
+
+
 def test_run_trials_chunk_seed_contract():
-    # reproduce the documented stream layout by hand for a two-chunk plan
-    trials = CHUNK_TRIALS + 1000
-    p = plan(m=3, allocation="random", speeds=UNIT, trials=trials, seed=42)
-    got = run_trials(p)
+    # random starts are drawn a row block at a time and the speeds and x from a second
+    # generator advanced past them; every plan still matches one-shot draws of the
+    # stream, over a full and a ragged chunk, bit for bit
+    point = SpeedDistribution.point_mass(1.375)
+    methods = [
+        ("one-directional", "random"),
+        ("two-directional", "random"),
+        ("grouped-3", "random"),
+        ("proportional", "proportional"),
+        ("one-directional", "equal"),
+        ("two-directional", "semi-equal"),
+        ("grouped-3", "equal"),
+    ]
+    cases = [
+        (m, method, speeds)
+        for m in (1, 3)
+        for method in methods
+        for speeds in (MIXED, UNIT, point, tuple(np.resize([0.5, 1.375, 1.0], m)))
+    ]
+    # at m = 256 each chunk array is 67 MB: every kind on sampled speeds, and the
+    # advance with no speed draw after it
+    cases += [(256, method, MIXED) for method in methods[:4]]
+    cases += [(256, methods[0], UNIT), (256, methods[2], point), (256, methods[6], MIXED)]
+    for m, (method, allocation), speeds in cases:
+        strategy = StrategySpec.parse(method)
+        if strategy.kind == "grouped" and strategy.group_size > m:
+            continue
+        p = plan(m, strategy, allocation, speeds, trials=CHUNK_TRIALS + 1000, seed=42)
+        got = run_trials(p)
+        times = one_shot_chunks(p)
+        case = (m, method, allocation, speeds)
+        assert got.mean == math.fsum(float(np.sum(t)) for t in times) / p.trials, case
+        assert got.minimum == min(t.min() for t in times), case
+        assert got.maximum == max(t.max() for t in times), case
 
-    times = []
-    for k, count in ((0, CHUNK_TRIALS), (1, 1000)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(3, k)))
-        starts = rng.uniform(0, L, (count, 3))
-        speeds = np.broadcast_to(np.array([1.0]), (count, 3))
-        x = rng.uniform(0, L, count)
-        times.append(one_directional_times(starts, speeds, x, L))
-    t = np.concatenate(times)
-    assert math.isclose(got.mean, t.mean(), rel_tol=1e-12)
-    assert got.minimum == t.min() and got.maximum == t.max()
 
-    # sampled speeds: the speed draw sits between the start and solution draws and
-    # follows Generator.choice's stream; chunk sums fold with fsum in chunk order
-    p = plan(m=3, allocation="random", speeds=MIXED, trials=trials, seed=42)
-    got = run_trials(p)
-    times = []
-    for k, count in ((0, CHUNK_TRIALS), (1, 1000)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(3, k)))
-        starts = rng.uniform(0, L, (count, 3))
-        speeds = rng.choice(MIXED.speeds, size=(count, 3), p=MIXED.masses)
-        x = rng.uniform(0, L, count)
-        times.append(one_directional_times(starts, speeds, x, L))
-    assert got.mean == math.fsum(float(np.sum(t)) for t in times) / trials
-    assert got.minimum == min(t.min() for t in times)
-    assert got.maximum == max(t.max() for t in times)
+@pytest.mark.parametrize("length", [1e-300, 1.0, 512.0000000000001, 1000.0, 1e300])
+def test_uniform_starts_are_scaled_random_draws(length):
+    # numpy's uniform(0, L) is 0.0 + L * u, the same bits as L * u
+    def rng():
+        return np.random.default_rng(11)
+
+    assert np.array_equal(length * rng().random(5000), rng().uniform(0, length, 5000))
+    # the drawn start source gives the one-shot draw, block by block over a ragged tail
+    source = harness._DrawnStarts(rng(), length, (1000, 5))
+    blocks = [source[rows].copy() for rows in (slice(0, 400), slice(400, 800), slice(800, 1000))]
+    assert np.array_equal(np.concatenate(blocks), rng().uniform(0, length, (1000, 5)))
+
+
+def test_drawn_starts_read_in_row_order():
+    source = harness._DrawnStarts(np.random.default_rng(0), L, (100, 3))
+    assert source.shape == (100, 3)
+    with pytest.raises(IndexError, match="row order"):
+        source[10:20]  # skips rows 0-9
+    source[0:10]
+    with pytest.raises(IndexError, match="row order"):
+        source[0:10]  # reads rows 0-9 again
+    with pytest.raises(IndexError, match="row order"):
+        source[10:20:2]
+    source[10:100]
+
+
+@pytest.mark.parametrize("method", ["one-directional", "two-directional", "grouped-3"])
+def test_random_starts_do_not_take_a_chunk_array(method):
+    # drawing the whole (trials, m) start array up front peaked above twice the speed
+    # array; drawn a block at a time, the speed array is the only chunk-sized one
+    p = plan(64, StrategySpec.parse(method), "random", MIXED, trials=CHUNK_TRIALS)
+    speeds_bytes = CHUNK_TRIALS * 64 * 8
+    tracemalloc.start()
+    try:
+        run_trials(p, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * speeds_bytes, peak / speeds_bytes
 
 
 def test_seed_changes_result():

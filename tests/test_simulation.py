@@ -21,6 +21,7 @@ from coopsearch.simulation import (
 from coopsearch.simulation import (
     _SWEEP_COLUMNS,
     _grouped_block,
+    _prefix_sums,
     _proportional_block,
     _reduce_rows,
 )
@@ -308,8 +309,9 @@ def adversarial_batch(m, seed):
     return starts, speeds, x
 
 
-# both sides of the column-sweep cutoff for row reductions (_SWEEP_COLUMNS = 16)
-AGENT_COUNTS = [1, 2, 4, 7, 8, 9, 16, 17, 33, 256]
+# both sides of the column-sweep cutoffs: sums (_SUM_SWEEP_COLUMNS = 7), stable
+# sorts (_STABLE_SORT_COLUMNS = 4), minima and prefix sums (_SWEEP_COLUMNS = 32)
+AGENT_COUNTS = [1, 2, 4, 7, 8, 9, 16, 17, 31, 32, 33, 256]
 
 
 @pytest.mark.parametrize("m", AGENT_COUNTS)
@@ -319,6 +321,16 @@ def test_row_minimum_matches_row_reduction(m):
     d[::3] = 7.0  # rows of equal entries
     got = _reduce_rows(np.minimum, d, np.empty(len(d)), _SWEEP_COLUMNS)
     assert np.array_equal(got, d.min(axis=1))
+
+
+@pytest.mark.parametrize("m", AGENT_COUNTS)
+def test_prefix_sums_match_cumsum(m):
+    rng = np.random.default_rng(m)
+    # magnitudes far apart, so any other order of the additions rounds differently
+    d = rng.uniform(0, 1, (500, m)) * 10.0 ** rng.integers(-8, 9, (500, m))
+    got = d.copy()
+    _prefix_sums(got)
+    assert np.array_equal(got, np.cumsum(d, axis=1))
 
 
 @pytest.mark.parametrize("m", AGENT_COUNTS)
@@ -399,12 +411,17 @@ def test_grouped_kernel_bit_identical(m):
     starts, speeds, x = tied_batch(m, seed=400 + m)
     fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
     fixed_speeds = np.broadcast_to(np.resize([0.1, 0.2, 0.3, 0.7], m), starts.shape)
+    # a broadcast row is sorted once, so its ties must take the stable order too
+    tied_row = np.broadcast_to(np.resize([2.0, 0.0, 2.0, 1.0, 0.0], m) * (L / 3), starts.shape)
     # group sizes on both sides of the width-8 switch in the sum, ragged or not
     for n in range(1, min(m, 12) + 1):
         got = grouped_times(starts, speeds, x, L, n)
         assert np.array_equal(got, grouped_oracle(starts, speeds, x, L, n)), n
-        got = grouped_times(fixed, fixed_speeds, x, L, n)
-        assert np.array_equal(got, grouped_oracle(fixed, fixed_speeds, x, L, n)), n
+        for row in (fixed, tied_row):
+            got = grouped_times(row, fixed_speeds, x, L, n)
+            assert np.array_equal(got, grouped_oracle(row, fixed_speeds, x, L, n)), n
+            got = grouped_times(row, speeds, x, L, n)
+            assert np.array_equal(got, grouped_oracle(row, speeds, x, L, n)), n
 
 
 @pytest.mark.parametrize("m", [2, 7, 256])
