@@ -11,9 +11,9 @@ sums, a column at a time.
 
 The grouped kernel sorts each row's starts once with the default sort.  Equal
 starts have more than one sorted order, and the stable one is the contract, so
-only rows with a tie sort again, stably.  Short rows, and a broadcast row, which
-is sorted once, take the stable sort directly.  It then gathers just the owner
-group's speeds and sums them in sorted order at that group's width.
+only rows with a tie sort again, stably, and short rows sort stably at once.  It
+then gathers just the owner group's speeds and sums them in sorted order at that
+group's width.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -40,6 +40,9 @@ __all__ = [
 
 # rows of at most this many entries take their minimum and prefix sums a column at a time
 _SWEEP_COLUMNS = 32
+# the grouped kernel counts a trial's group boundaries at or before x a column at a
+# time up to this many groups; past about 20, add.reduce counts the booleans faster
+_COUNT_SWEEP_COLUMNS = 16
 # numpy's add.reduce sums a row of at most this many entries left to right, as a
 # column sweep does, and a longer one pairwise
 _SUM_SWEEP_COLUMNS = 7
@@ -133,20 +136,19 @@ def _two_directional_block(s, v, x, length, d, out) -> None:
 
 def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     trials, m = s.shape
-    one_row = s.strides[0] == 0  # fixed starts: one broadcast row, sorted once
-    stable = one_row or m <= _STABLE_SORT_COLUMNS
-    order = np.argsort(s[:1] if one_row else s, axis=1, kind="stable" if stable else None)
-    srt = np.take_along_axis(s[: len(order)], order, axis=1)
+    stable = m <= _STABLE_SORT_COLUMNS
+    order = np.argsort(s, axis=1, kind="stable" if stable else None)
+    srt = np.take_along_axis(s, order, axis=1)
     # only equal starts have another sorted order, and the stable one is the contract
     if not stable and (tie := srt[:, 1:] == srt[:, :-1]).any():
         tied = tie.any(axis=1)
         order[tied] = np.argsort(s[tied], axis=1, kind="stable")
         # -0.0 and 0.0 tie, so the sorted starts follow the stable order too
         srt[tied] = np.take_along_axis(s[tied], order[tied], axis=1)
-    G = -(-m // group_size)
-    bounds = np.broadcast_to(srt[:, ::group_size], (trials, G))  # each group's first start
+    bounds = srt[:, ::group_size]  # each group's first start
+    G = bounds.shape[1]
     # owner group: largest boundary at or before x, wrapping to the last group
-    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS)
+    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _COUNT_SWEEP_COLUMNS)
     pos -= 1
     pos[pos < 0] = G - 1
     rows = np.arange(trials)
@@ -155,14 +157,13 @@ def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     # the owner group's speeds in sorted order, gathered a member at a time and
     # summed at that group's own width, so a ragged last group sums its own only
     flat = order.reshape(-1)
-    row_step = 0 if one_row else m  # where each row's order starts in `flat`
     rate = np.empty(trials)
     ragged = m - (G - 1) * group_size
     parts = [(rows, group_size)]
     if ragged < group_size:
         parts = [(rows[pos < G - 1], group_size), (rows[pos == G - 1], ragged)]
     for r, width in parts:
-        first = r * row_step + pos[r] * group_size  # the group's first member in `flat`
+        first = r * m + pos[r] * group_size  # the group's first member in `flat`
         speeds = np.empty((len(r), width))
         for j in range(width):
             speeds[:, j] = v[r, flat[first + j]]

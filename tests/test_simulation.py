@@ -310,7 +310,8 @@ def adversarial_batch(m, seed):
 
 
 # both sides of the column-sweep cutoffs: sums (_SUM_SWEEP_COLUMNS = 7), stable
-# sorts (_STABLE_SORT_COLUMNS = 4), minima and prefix sums (_SWEEP_COLUMNS = 32)
+# sorts (_STABLE_SORT_COLUMNS = 4), grouped owner counts (_COUNT_SWEEP_COLUMNS = 16),
+# minima and prefix sums (_SWEEP_COLUMNS = 32)
 AGENT_COUNTS = [1, 2, 4, 7, 8, 9, 16, 17, 31, 32, 33, 256]
 
 
@@ -411,7 +412,7 @@ def test_grouped_kernel_bit_identical(m):
     starts, speeds, x = tied_batch(m, seed=400 + m)
     fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
     fixed_speeds = np.broadcast_to(np.resize([0.1, 0.2, 0.3, 0.7], m), starts.shape)
-    # a broadcast row is sorted once, so its ties must take the stable order too
+    # a broadcast row with ties must take the stable order too
     tied_row = np.broadcast_to(np.resize([2.0, 0.0, 2.0, 1.0, 0.0], m) * (L / 3), starts.shape)
     # group sizes on both sides of the width-8 switch in the sum, ragged or not
     for n in range(1, min(m, 12) + 1):
