@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import _row_blocks
+from .model import _DrawnStarts, _require_positive_int, _row_blocks
 
 __all__ = [
     "semi_equal_starts",
@@ -18,11 +18,6 @@ __all__ = [
 
 # unit bins a gap histogram may have; every table uses L = 1000
 _MAX_BINS = 10**6
-
-
-def _require_agent_count(m: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"agent count must be a positive integer, got {m!r}")
 
 
 def _bin_count(region_length: float) -> int:
@@ -40,7 +35,7 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
     The first agent anchors at 0; level n contributes the odd multiples of L/2^n in
     increasing order, until m points exist.  All points are exact binary fractions of L.
     """
-    _require_agent_count(m)
+    _require_positive_int(m, "agent count")
     starts = [0.0]
     level = 1
     while len(starts) < m:
@@ -55,7 +50,7 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
 
 def length_pmf_equal(region_length: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lengths, masses) of the equal division: every subregion is L/m."""
-    _require_agent_count(m)
+    _require_positive_int(m, "agent count")
     return np.array([region_length / m]), np.array([1.0])
 
 
@@ -65,7 +60,7 @@ def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.
     For 2^n < m < 2^(n+1) mass (2^(n+1) - m)/m sits at L/2^n and (2m - 2^(n+1))/m
     at L/2^(n+1); at m = 2^n everything is equal.
     """
-    _require_agent_count(m)
+    _require_positive_int(m, "agent count")
     n = m.bit_length() - 1  # 2^n <= m < 2^(n+1)
     if m == 2**n:
         return np.array([region_length / 2**n]), np.array([1.0])
@@ -80,17 +75,19 @@ def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.
 def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.ndarray:
     """Monte-Carlo masses of gap lengths under uniform random starts; bin k is [k, k+1).
 
-    Starts are drawn per row block; uniform draws fill in C order, so the histogram
-    is the one a single (trials, m) draw would give.
+    Starts come a row block at a time from one drawn start source, each block sorted
+    in place; uniform draws fill in C order, so the histogram is the one a single
+    (trials, m) draw would give.
     """
-    _require_agent_count(m)
+    _require_positive_int(m, "agent count")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     nbins = _bin_count(region_length)
-    rng = np.random.default_rng(seed)
+    starts = _DrawnStarts(np.random.default_rng(seed), region_length, (trials, m))
     counts = np.zeros(nbins, dtype=np.int64)
     for rows in _row_blocks(trials, m):
-        s = np.sort(rng.uniform(0.0, region_length, (rows.stop - rows.start, m)), axis=1)
+        s = starts[rows]
+        s.sort(axis=1)
         gaps = np.empty_like(s)
         gaps[:, :-1] = np.diff(s, axis=1)
         gaps[:, -1] = region_length - s[:, -1] + s[:, 0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -64,13 +65,12 @@ def expected_time_random_starts(
 _MAX_TERMS = 10**6
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k counts that sum to n, in lexicographic order, by stars and bars: the
+    k - 1 bars take increasing places among n + k - 1, and the counts are the gaps."""
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
@@ -90,7 +90,7 @@ def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
             f"enumerates {terms} terms, more than {_MAX_TERMS}"
         )
     acc = 0.0
-    for counts in _compositions(n, len(speeds)):
+    for counts in _count_vectors(n, len(speeds)):
         coef = 1
         rem = n
         for c in counts:

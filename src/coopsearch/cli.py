@@ -50,6 +50,9 @@ DEFAULT_HIST_AGENTS = "2,5,10,20,30"
 AGENTS_HELP = "agent counts m1,m2,... or the range lo:hi[:step], hi included"
 STAT_COLUMNS = ("strategy", "m", "mean", "stderr", "ci95", "trials", "seed")
 
+# what a command returns: its column names and one row per output line
+Table = tuple[tuple[str, ...], list[tuple]]
+
 
 class CliError(ValueError):
     """Configuration problem; reported as a diagnostic with exit code 2."""
@@ -211,7 +214,8 @@ def parse_config(argv=None) -> argparse.Namespace:
 
     argparse's own errors exit through SystemExit; every other configuration error
     raises CliError.  The region, the speed law and every trial plan the command
-    uses are built here, so their own checks validate the input.
+    uses are built here, so their own checks validate the input; `ns.plans` keeps
+    the plans, one per output row, and the command runs them.
     """
     ns = _build_parser().parse_args(argv)
     try:
@@ -233,7 +237,8 @@ def _canonical(token: str, allocation: str | None = None) -> tuple[str, Strategy
 
 def _validated(ns: argparse.Namespace) -> argparse.Namespace:
     """Replace each option's text with its canonical value, checking it on the way."""
-    ns.region_length = RegionSpec(ns.region_length).length
+    region = RegionSpec(ns.region_length)
+    ns.region_length = region.length
     if ns.workers is not None and ns.workers < 1:
         raise CliError(f"--workers must be positive, got {ns.workers}")
     if "speeds" in ns:
@@ -265,9 +270,14 @@ def _validated(ns: argparse.Namespace) -> argparse.Namespace:
             raise CliError(
                 f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
             )
+    # the plans the command runs, one per output row; building them checks them
     targets = ns.targets if "targets" in ns else [(ns.strategy, m) for m in ns.agents]
-    for token, m in targets:
-        _plan(ns, token, m)  # each trial plan the command uses, built for its checks
+    allocation = getattr(ns, "allocation", None)  # canonical by now, and None for compare
+    trials, seed = getattr(ns, "trials", 1), getattr(ns, "seed", 0)
+    ns.plans = [
+        TrialPlan(region, m, *resolve_method(token, allocation), ns.speeds, trials, seed)
+        for token, m in targets
+    ]
     return ns
 
 
@@ -280,24 +290,11 @@ def _config_line(ns: argparse.Namespace) -> str:
     return " ".join(shlex.quote(p) for p in parts)
 
 
-def _plan(ns: argparse.Namespace, method: str, m: int) -> TrialPlan:
-    strategy, allocation = resolve_method(method, getattr(ns, "allocation", None))
-    return TrialPlan(
-        region=RegionSpec(ns.region_length),
-        num_agents=m,
-        strategy=strategy,
-        allocation=allocation,
-        speeds=ns.speeds,
-        trials=getattr(ns, "trials", 1),
-        base_seed=getattr(ns, "seed", 0),
-    )
-
-
 def _stat_row(method: str, m: int, stats, seed: int) -> tuple:
     return (method, m, stats.mean, stats.stderr, stats.ci95, stats.trials, seed)
 
 
-def cmd_pl_hist(ns: argparse.Namespace) -> OutputRecord:
+def cmd_pl_hist(ns: argparse.Namespace) -> Table:
     """estimated vs exact gap-length histogram for random starts"""
 
     def estimate(m: int) -> np.ndarray:
@@ -308,43 +305,39 @@ def cmd_pl_hist(ns: argparse.Namespace) -> OutputRecord:
     for m, est in zip(ns.agents, parallel_map(estimate, ns.agents, ns.workers, lambda m: m)):
         oracle = spacing_pmf_oracle(ns.region_length, m)
         rows += [(m, k, float(e), float(o)) for k, (e, o) in enumerate(zip(est, oracle))]
-    columns = ("m", "bin", "estimated_mass", "oracle_mass")
-    return OutputRecord(columns, tuple(rows), _config_line(ns))
+    return ("m", "bin", "estimated_mass", "oracle_mass"), rows
 
 
-def cmd_expected(ns: argparse.Namespace) -> OutputRecord:
+def cmd_expected(ns: argparse.Namespace) -> Table:
     """closed-form expected times, no simulation"""
-    rows = tuple((ns.strategy, m, closed_form(_plan(ns, ns.strategy, m))) for m in ns.agents)
-    return OutputRecord(("strategy", "m", "expected_time"), rows, _config_line(ns))
+    rows = [(ns.strategy, plan.num_agents, closed_form(plan)) for plan in ns.plans]
+    return ("strategy", "m", "expected_time"), rows
 
 
-def cmd_simulate(ns: argparse.Namespace) -> OutputRecord:
+def cmd_simulate(ns: argparse.Namespace) -> Table:
     """Monte-Carlo estimate for one configuration"""
-    m = ns.agents[0]
-    stats = run_trials(_plan(ns, ns.strategy, m), workers=ns.workers)
-    row = _stat_row(ns.strategy, m, stats, ns.seed)
-    return OutputRecord(STAT_COLUMNS, (row,), _config_line(ns))
+    (plan,) = ns.plans
+    stats = run_trials(plan, workers=ns.workers)
+    return STAT_COLUMNS, [_stat_row(ns.strategy, plan.num_agents, stats, ns.seed)]
 
 
-def cmd_sweep(ns: argparse.Namespace) -> OutputRecord:
+def cmd_sweep(ns: argparse.Namespace) -> Table:
     """Monte-Carlo sweep over agent counts"""
     # the closed forms come first, so one that cannot be evaluated fails before any simulation
     analytic = ns.with_analytic
-    extra = [(closed_form(_plan(ns, ns.strategy, m)),) if analytic else () for m in ns.agents]
+    extra = [(closed_form(plan),) if analytic else () for plan in ns.plans]
     columns = STAT_COLUMNS + (("analytic",) if analytic else ())
-    swept = sweep_m(_plan(ns, ns.strategy, ns.agents[0]), ns.agents, workers=ns.workers)
-    rows = tuple(_stat_row(ns.strategy, m, st, ns.seed) + e for (m, st), e in zip(swept, extra))
-    return OutputRecord(columns, rows, _config_line(ns))
+    swept = sweep_m(ns.plans[0], ns.agents, workers=ns.workers)
+    return columns, [_stat_row(ns.strategy, m, st, ns.seed) + e for (m, st), e in zip(swept, extra)]
 
 
-def cmd_compare(ns: argparse.Namespace) -> OutputRecord:
+def cmd_compare(ns: argparse.Namespace) -> Table:
     """side-by-side strategy comparison at chosen agent counts"""
     region = RegionSpec(ns.region_length)
     table = compare_strategies(
         region, ns.speeds, ns.targets, trials=ns.trials, base_seed=ns.seed, workers=ns.workers
     )
-    rows = tuple(_stat_row(method, m, stats, ns.seed) for method, m, stats in table)
-    return OutputRecord(STAT_COLUMNS, rows, _config_line(ns))
+    return STAT_COLUMNS, [_stat_row(method, m, stats, ns.seed) for method, m, stats in table]
 
 
 _COMMANDS = {
@@ -365,13 +358,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        text = _COMMANDS[ns.command](ns).render(ns.format)
-    except ValueError as e:
+        columns, rows = _COMMANDS[ns.command](ns)
+        text = OutputRecord(columns, tuple(rows), _config_line(ns)).render(ns.format)
+        if ns.output:
+            Path(ns.output).write_text(text)
+    except (ValueError, OSError) as e:  # OSError: an --output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if ns.output:
-        Path(ns.output).write_text(text)
-    else:
+    if not ns.output:
         sys.stdout.write(text)
     return 0
 

@@ -33,7 +33,7 @@ from .analytics import (
     expected_time_proportional_resampled,
     expected_time_random_starts,
 )
-from .model import RegionSpec, SpeedDistribution
+from .model import RegionSpec, SpeedDistribution, _DrawnStarts, _require_positive_int
 from .simulation import (
     grouped_times,
     one_directional_times,
@@ -124,8 +124,7 @@ class StrategySpec:
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {tuple(STRATEGIES)}")
         if self.kind == "grouped":
-            if not (isinstance(self.group_size, (int, np.integer)) and self.group_size >= 1):
-                raise ValueError(f"grouped strategy needs group_size >= 1, got {self.group_size!r}")
+            _require_positive_int(self.group_size, "group_size")
         elif self.group_size is not None:
             raise ValueError(f"group_size only applies to grouped, not {self.kind!r}")
 
@@ -176,15 +175,13 @@ class TrialPlan:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 1):
-            raise ValueError(f"num_agents must be a positive integer, got {self.num_agents!r}")
+        _require_positive_int(self.num_agents, "num_agents")
         _require_runs_on(self.strategy, self.allocation)
         if self.strategy.kind == "grouped" and self.strategy.group_size > self.num_agents:
             raise ValueError(
                 f"group size {self.strategy.group_size} exceeds agent count {self.num_agents}"
             )
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        _require_positive_int(self.trials, "trials")
         if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if isinstance(self.speeds, SpeedDistribution):
@@ -286,28 +283,6 @@ def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-class _DrawnStarts:
-    """A chunk's random starts, `rng.uniform(0, L, shape)` bit for bit, drawn a row block
-    at a time as a kernel reads them, in row order, into one reused buffer.  numpy's
-    uniform(0, L) is 0.0 + L * u, the same bits as `rng.random` scaled by L."""
-
-    def __init__(self, rng: np.random.Generator, length: float, shape: tuple[int, int]) -> None:
-        self.shape, self._rng, self._length = shape, rng, length
-        self._next, self._buf = 0, np.empty((0, shape[1]))
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, step = rows.indices(self.shape[0])
-        if (start, step) != (self._next, 1):
-            raise IndexError(f"random starts are drawn in row order: next row {self._next}, got {rows}")
-        if stop - start > len(self._buf):
-            self._buf = np.empty((stop - start, self.shape[1]))
-        block = self._buf[: stop - start]
-        self._rng.random(out=block)
-        block *= self._length
-        self._next = stop
-        return block
-
-
 def _fixed_starts(plan: TrialPlan) -> np.ndarray | None:
     L = plan.region.length
     m = plan.num_agents
@@ -333,13 +308,11 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
     else:
         starts = np.broadcast_to(_fixed_starts(plan), (count, m))
 
-    if isinstance(plan.speeds, SpeedDistribution):
-        if plan.speeds.is_degenerate():
-            speeds = np.broadcast_to(plan.speeds.speeds, (count, m))
-        else:
-            speeds = plan.speeds.sample(rng, (count, m))
-    else:
-        row = np.array(plan.speeds) if len(plan.speeds) == m else np.full(m, plan.speeds[0])
+    law = plan.speeds
+    if isinstance(law, SpeedDistribution) and not law.is_degenerate():
+        speeds = law.sample(rng, (count, m))
+    else:  # one speed for every agent, or one per agent: a row all trials share
+        row = law.speeds if isinstance(law, SpeedDistribution) else np.array(law, dtype=float)
         speeds = np.broadcast_to(row, (count, m))
 
     x = rng.uniform(0.0, L, count)

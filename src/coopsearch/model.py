@@ -1,4 +1,5 @@
-"""Core value types: the circular region and the agents' speed law."""
+"""Core value types: the circular region and the agents' speed law, and the row blocks
+that the speed draw, the random starts and the batch kernels share."""
 
 from __future__ import annotations
 
@@ -19,6 +20,33 @@ def _row_blocks(trials: int, m: int):
     step = max(1, _BLOCK_ENTRIES // m)
     for lo in range(0, trials, step):
         yield slice(lo, min(lo + step, trials))
+
+
+class _DrawnStarts:
+    """Uniform random starts, `rng.uniform(0, L, shape)` bit for bit, drawn a row block
+    at a time as a reader asks for them, in row order, into one reused buffer.  numpy's
+    uniform(0, L) is 0.0 + L * u, the same bits as `rng.random` scaled by L."""
+
+    def __init__(self, rng: np.random.Generator, length: float, shape: tuple[int, int]) -> None:
+        self.shape, self._rng, self._length = shape, rng, length
+        self._next, self._buf = 0, np.empty((0, shape[1]))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if (start, step) != (self._next, 1):
+            raise IndexError(f"random starts are drawn in row order: next row {self._next}, got {rows}")
+        if stop - start > len(self._buf):
+            self._buf = np.empty((stop - start, self.shape[1]))
+        block = self._buf[: stop - start]
+        self._rng.random(out=block)
+        block *= self._length
+        self._next = stop
+        return block
+
+
+def _require_positive_int(value, name: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Each simulator takes one trial's agent starts and speeds (indexed by agent id),
 the solution position x and the region length L, all positions in [0, L), and
 returns (time to solution, finder id); grouped also takes the group size, and
 proportional takes no starts because its arcs fix them.  They share no code
-with the batch kernels in coopsearch.simulation.
+with the batch kernels in coopsearch.simulation.  The one-shot gap histogram and
+the recursive count vectors are the references for the row-block histogram and
+the stars-and-bars enumeration.
 """
 
 import math
@@ -150,3 +152,23 @@ def random_start_mean(L, speed_atoms, m):
         survive = sum(p * np.maximum(1.0 - t * v / L, 0.0) for v, p in speed_atoms)
         total += 0.5 * (b - a) * float(np.dot(weights, survive**m))
     return total
+
+
+def one_shot_length_pmf(L, m, trials, seed):
+    """Unit-bin gap masses from one (trials, m) draw of uniform starts, sorted at once."""
+    s = np.sort(np.random.default_rng(seed).uniform(0.0, L, (trials, m)), axis=1)
+    gaps = np.column_stack([np.diff(s, axis=1), L - s[:, -1] + s[:, 0]])
+    nbins = math.ceil(L)
+    idx = np.clip(np.floor(gaps).astype(np.int64), 0, nbins - 1)
+    counts = np.bincount(idx.ravel(), minlength=nbins)
+    return counts / counts.sum()
+
+
+def compositions(total: int, parts: int):
+    """Every `parts` non-negative counts that sum to `total`, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest

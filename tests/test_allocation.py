@@ -17,7 +17,7 @@ from coopsearch.allocation import (
     spacing_pmf_oracle,
 )
 from coopsearch.harness import TrialPlan, _chunk_rng, _fixed_starts, resolve_method
-from coopsearch.model import RegionSpec
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec
 from coopsearch.simulation import grouped_times, proportional_times
 
 R = RegionSpec(1000.0)
@@ -207,11 +207,8 @@ def test_estimate_length_pmf_matches_oracle_loosely():
 
 
 def test_estimate_length_pmf_chunking_invariant():
-    trials = 30_000  # several row blocks, the last one ragged
-    for m in (4, 30):
+    for m in (2, 4, 7, 30):
+        trials = 3 * (_BLOCK_ENTRIES // m) + 123  # three full row blocks and a ragged fourth
         # the same seed drawn in one pass, without row blocks: identical histogram
-        s = np.sort(np.random.default_rng(9).uniform(0.0, L, (trials, m)), axis=1)
-        gaps = np.column_stack([np.diff(s, axis=1), L - s[:, -1] + s[:, 0]])
-        idx = np.clip(np.floor(gaps).astype(np.int64), 0, int(L) - 1)
-        counts = np.bincount(idx.ravel(), minlength=int(L))
-        np.testing.assert_array_equal(estimate_length_pmf(L, m, trials, 9), counts / counts.sum())
+        expected = oracles.one_shot_length_pmf(L, m, trials, 9)
+        np.testing.assert_array_equal(estimate_length_pmf(L, m, trials, 9), expected)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from coopsearch import analytics
 from coopsearch.allocation import length_pmf_equal, length_pmf_semi_equal, semi_equal_starts
 from coopsearch.analytics import (
     expected_time_independent,
@@ -159,6 +160,16 @@ def test_speed_sum_inverse_mean_refuses_huge_enumeration():
     law = SpeedDistribution(tuple((1.0 + k / 10, 0.1) for k in range(10)))
     with pytest.raises(ValueError, match="350343565 terms"):
         speed_sum_inverse_mean(law, 32)
+
+
+@pytest.mark.parametrize("atoms", [1, 3, 5, 10])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_enumeration_matches_recursive_oracle(atoms, n, monkeypatch):
+    law = SpeedDistribution(tuple((0.5 + k / 4, 1 / atoms) for k in range(atoms)))
+    assert list(analytics._count_vectors(n, atoms)) == list(oracles.compositions(n, atoms))
+    got = speed_sum_inverse_mean(law, n)
+    monkeypatch.setattr(analytics, "_count_vectors", oracles.compositions)
+    assert speed_sum_inverse_mean(law, n) == got  # the same terms in the same order
 
 
 def test_speed_sum_inverse_mean_point_mass():

@@ -14,6 +14,7 @@ import pytest
 
 from coopsearch import cli
 from coopsearch.cli import main, parse_config
+from coopsearch.harness import TrialPlan
 
 FAST = ["--trials", "4000", "--seed", "7"]
 
@@ -139,6 +140,34 @@ def test_reproduce_results_config_lines_regenerate(tmp_path):
     for file in files:
         text = file.read_text()
         assert run_to_file(config_line_of(text), tmp_path / "replay.csv") == text, file.name
+
+
+@pytest.mark.parametrize(
+    "argv, plans",
+    [(["simulate", "--agents", "5", "--trials", "100"], 1), (["expected", "--agents", "2:4"], 3)],
+)
+def test_each_plan_is_built_once(argv, plans, monkeypatch, tmp_path):
+    # parse_config builds the plans to validate them, and the command runs those plans
+    built = []
+    post_init = TrialPlan.__post_init__
+    monkeypatch.setattr(TrialPlan, "__post_init__", lambda plan: built.append(post_init(plan)))
+    run_to_file(argv, tmp_path / "out.csv")
+    assert len(built) == plans
+
+
+@pytest.mark.parametrize("output", ["missing/out.csv", "."])
+def test_unwritable_output_is_an_error(output, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["expected", "--agents", "2", "--output", str(tmp_path / output)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "coopsearch.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coopsearch import harness
+from coopsearch import harness, model
 from coopsearch.allocation import semi_equal_starts
 from coopsearch.analytics import expected_time_random_starts
 from coopsearch.harness import (
@@ -185,13 +185,13 @@ def test_uniform_starts_are_scaled_random_draws(length):
 
     assert np.array_equal(length * rng().random(5000), rng().uniform(0, length, 5000))
     # the drawn start source gives the one-shot draw, block by block over a ragged tail
-    source = harness._DrawnStarts(rng(), length, (1000, 5))
+    source = model._DrawnStarts(rng(), length, (1000, 5))
     blocks = [source[rows].copy() for rows in (slice(0, 400), slice(400, 800), slice(800, 1000))]
     assert np.array_equal(np.concatenate(blocks), rng().uniform(0, length, (1000, 5)))
 
 
 def test_drawn_starts_read_in_row_order():
-    source = harness._DrawnStarts(np.random.default_rng(0), L, (100, 3))
+    source = model._DrawnStarts(np.random.default_rng(0), L, (100, 3))
     assert source.shape == (100, 3)
     with pytest.raises(IndexError, match="row order"):
         source[10:20]  # skips rows 0-9
