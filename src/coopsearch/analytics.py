@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Iterator
 
 import numpy as np
@@ -28,7 +29,27 @@ def mean_inverse_speed(speed_pmf: SpeedDistribution) -> float:
 def second_moment(length_pmf: tuple[np.ndarray, np.ndarray]) -> float:
     """E(l^2) under a (lengths, masses) law."""
     vals, masses = length_pmf
-    return float(np.dot(vals * vals, masses))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers reject a result out of range
+        return float(np.dot(vals * vals, masses))
+
+
+def _in_range(value: float, what: str) -> float:
+    """`value` if it is a finite normal float; a subnormal has lost its digits."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(
+            f"{what} is {value!r}, out of range for a float64 closed form; "
+            "rescale the region length or the speeds"
+        )
+    return value
+
+
+def _factorized_mean(
+    m: int, region_length: float, speed_pmf: SpeedDistribution, length_second_moment: float
+) -> float:
+    """m/(2L) * E(1/v) * E(l^2), evaluated left to right, for E(l^2) and the mean in range."""
+    _in_range(length_second_moment, "E(l^2)")
+    mean = m / (2.0 * region_length) * mean_inverse_speed(speed_pmf) * length_second_moment
+    return _in_range(mean, "the expected time")
 
 
 def expected_time_independent(
@@ -41,12 +62,7 @@ def expected_time_independent(
     length law are independent."""
     if m < 1:
         raise ValueError(f"agent count must be positive, got {m}")
-    return (
-        m
-        / (2.0 * region_length)
-        * mean_inverse_speed(speed_pmf)
-        * second_moment(length_pmf)
-    )
+    return _factorized_mean(m, region_length, speed_pmf, second_moment(length_pmf))
 
 
 def expected_time_random_starts(
@@ -57,7 +73,7 @@ def expected_time_random_starts(
     if m < 1:
         raise ValueError(f"agent count must be positive, got {m}")
     L = region_length
-    return m / (2.0 * L) * mean_inverse_speed(speed_pmf) * (2.0 * L * L / (m * (m + 1)))
+    return _factorized_mean(m, L, speed_pmf, 2.0 * L * L / (m * (m + 1)))
 
 
 # about 10 us a term on a 10-atom law, so seconds of work at the cap; the largest
@@ -106,4 +122,4 @@ def expected_time_proportional_resampled(
     region_length: float, speed_pmf: SpeedDistribution, m: int
 ) -> float:
     """Mean of L / (2 sum(v)) when the m speeds are redrawn from the law each trial."""
-    return region_length / 2.0 * speed_sum_inverse_mean(speed_pmf, m)
+    return _in_range(region_length / 2.0 * speed_sum_inverse_mean(speed_pmf, m), "the expected time")

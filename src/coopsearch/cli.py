@@ -245,11 +245,14 @@ def _validated(ns: argparse.Namespace) -> argparse.Namespace:
         ns.speeds = _parse_speeds(ns.speeds)
     if "agents" in ns:
         ns.agents = _parse_agents(ns.agents)
+    # each output row's (name, strategy, allocation) and m, every token resolved once
     if "targets" in ns:
-        ns.targets = tuple((_canonical(token)[0], m) for token, m in _parse_targets(ns.targets))
+        methods = [(_canonical(token), m) for token, m in _parse_targets(ns.targets)]
+        ns.targets = tuple((name, m) for (name, _, _), m in methods)
     if "strategy" in ns:
-        allocation = getattr(ns, "allocation", None)
-        ns.strategy, strategy, ns.allocation = _canonical(ns.strategy, allocation)
+        method = _canonical(ns.strategy, getattr(ns, "allocation", None))
+        ns.strategy, strategy, ns.allocation = method
+        methods = [(method, m) for m in ns.agents]
 
     if ns.command == "pl-hist":
         if any(m < 2 for m in ns.agents):
@@ -271,12 +274,10 @@ def _validated(ns: argparse.Namespace) -> argparse.Namespace:
                 f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
             )
     # the plans the command runs, one per output row; building them checks them
-    targets = ns.targets if "targets" in ns else [(ns.strategy, m) for m in ns.agents]
-    allocation = getattr(ns, "allocation", None)  # canonical by now, and None for compare
     trials, seed = getattr(ns, "trials", 1), getattr(ns, "seed", 0)
     ns.plans = [
-        TrialPlan(region, m, *resolve_method(token, allocation), ns.speeds, trials, seed)
-        for token, m in targets
+        TrialPlan(region, m, strategy, allocation, ns.speeds, trials, seed)
+        for (_, strategy, allocation), m in methods
     ]
     return ns
 
@@ -327,17 +328,14 @@ def cmd_sweep(ns: argparse.Namespace) -> Table:
     analytic = ns.with_analytic
     extra = [(closed_form(plan),) if analytic else () for plan in ns.plans]
     columns = STAT_COLUMNS + (("analytic",) if analytic else ())
-    swept = sweep_m(ns.plans[0], ns.agents, workers=ns.workers)
+    swept = sweep_m(ns.plans, workers=ns.workers)
     return columns, [_stat_row(ns.strategy, m, st, ns.seed) + e for (m, st), e in zip(swept, extra)]
 
 
 def cmd_compare(ns: argparse.Namespace) -> Table:
     """side-by-side strategy comparison at chosen agent counts"""
-    region = RegionSpec(ns.region_length)
-    table = compare_strategies(
-        region, ns.speeds, ns.targets, trials=ns.trials, base_seed=ns.seed, workers=ns.workers
-    )
-    return STAT_COLUMNS, [_stat_row(method, m, stats, ns.seed) for method, m, stats in table]
+    stats = compare_strategies(ns.plans, workers=ns.workers)
+    return STAT_COLUMNS, [_stat_row(method, m, st, ns.seed) for (method, m), st in zip(ns.targets, stats)]
 
 
 _COMMANDS = {

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -357,43 +357,27 @@ def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:
     )
 
 
-def _run_plans(plans: list[TrialPlan], workers: int | None) -> list[SummaryStats]:
-    """run_trials for each plan, called through this module's global so a wrapper sees
-    every plan.  Several plans run concurrently, each one's chunks in order on its
-    thread; a single plan spreads its chunks over the workers instead."""
+def compare_strategies(plans: Sequence[TrialPlan], workers: int | None = None) -> tuple[SummaryStats, ...]:
+    """run_trials for each plan, one stats per plan in the given order.
+
+    Each plan runs through this module's run_trials global, so a wrapper sees every
+    plan.  Several plans run concurrently, each one's chunks in order on its thread;
+    a single plan spreads its chunks over the workers instead.
+    """
+    if not plans:
+        raise ValueError("compare needs at least one plan")
     per_plan = workers if len(plans) == 1 else 1
-    return parallel_map(
-        lambda plan: run_trials(plan, workers=per_plan), plans, workers, lambda p: p.num_agents * p.trials
+    return tuple(
+        parallel_map(
+            lambda plan: run_trials(plan, workers=per_plan), plans, workers, lambda p: p.num_agents * p.trials
+        )
     )
 
 
-def sweep_m(
-    template: TrialPlan, m_values: Sequence[int], workers: int | None = None
-) -> tuple[tuple[int, SummaryStats], ...]:
-    """(m, stats) for run_trials at each m; per-m seed streams keep points independent and stable."""
-    ms = list(m_values)
+def sweep_m(plans: Sequence[TrialPlan], workers: int | None = None) -> tuple[tuple[int, SummaryStats], ...]:
+    """(m, stats) for each plan, its agent counts strictly increasing; per-m seed
+    streams keep the points independent and stable."""
+    ms = [plan.num_agents for plan in plans]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"m_values must be non-empty and strictly increasing, got {ms}")
-    stats = _run_plans([replace(template, num_agents=m) for m in ms], workers)
-    return tuple(zip(ms, stats))
-
-
-def compare_strategies(
-    region: RegionSpec,
-    speeds: SpeedDistribution | tuple[float, ...],
-    targets: Sequence[tuple[str, int]],
-    trials: int,
-    base_seed: int = 0,
-    workers: int | None = None,
-) -> tuple[tuple[str, int, SummaryStats], ...]:
-    """Evaluate (method, m) targets side by side with matched trial counts.
-
-    Returns one (method, m, stats) row per target, the method as given.
-    """
-    if not targets:
-        raise ValueError("compare needs at least one (method, m) target")
-    plans = [
-        TrialPlan(region, m, *resolve_method(token), speeds, trials, base_seed) for token, m in targets
-    ]
-    stats = _run_plans(plans, workers)
-    return tuple((token, m, st) for (token, m), st in zip(targets, stats))
+        raise ValueError(f"agent counts must be non-empty and strictly increasing, got {ms}")
+    return tuple(zip(ms, compare_strategies(plans, workers)))

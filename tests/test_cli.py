@@ -144,7 +144,12 @@ def test_reproduce_results_config_lines_regenerate(tmp_path):
 
 @pytest.mark.parametrize(
     "argv, plans",
-    [(["simulate", "--agents", "5", "--trials", "100"], 1), (["expected", "--agents", "2:4"], 3)],
+    [
+        (["simulate", "--agents", "5", "--trials", "100"], 1),
+        (["expected", "--agents", "2:4"], 3),
+        (["sweep", "--agents", "2:4", "--trials", "100"], 3),
+        (["compare", "--trials", "100"], 5),  # the five default targets
+    ],
 )
 def test_each_plan_is_built_once(argv, plans, monkeypatch, tmp_path):
     # parse_config builds the plans to validate them, and the command runs those plans
@@ -245,6 +250,28 @@ def test_expected_equal_closed_form(tmp_path):
     rows = [line.split(",") for line in text.splitlines() if line and not line.startswith(("#", "strategy"))]
     got = {int(m): float(v) for _, m, v in rows}
     assert got == {2: 250.0, 4: 125.0, 10: 50.0}
+    argv = ["expected", "--agents", "2", "--speeds", "1.0", "--region-length", "1e154"]
+    assert table_of(run_to_file(argv, tmp_path / "big.csv"))[0]["expected_time"] == "2.5e+153"
+
+
+@pytest.mark.parametrize(
+    "strategy, length",
+    [
+        ("equal", "1e155"),  # E(l^2) overflows
+        ("random", "1e154"),  # 2 L^2 overflows
+        ("equal", "1e-300"),  # E(l^2) underflows to 0
+        ("semi-equal", "1e-320"),  # 0 times the infinite m/(2L)
+        ("equal", "1e-160"),  # E(l^2) is subnormal, so digits are lost
+        ("proportional", "1e-320"),  # the mean itself is subnormal
+    ],
+)
+def test_closed_form_out_of_float_range_exits_1(strategy, length, capsys):
+    argv = ["expected", "--agents", "2", "--speeds", "1.0", "--strategy", strategy, "--region-length", length]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
 
 
 def test_huge_closed_form_enumeration_exits_1(capsys, monkeypatch):
@@ -378,17 +405,29 @@ def test_compare_labels_match_simulate(tmp_path):
     assert table_of(run_to_file(argv, tmp_path / "s.csv"))[0]["strategy"] == "grouped-3"
 
 
-def test_readme_command_lines_parse():
+def readme_lines(language: str) -> list[str]:
+    """The lines of the README's fenced blocks in `language`, in order."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines, in_sh = [], False
+    lines, inside = [], False
     for line in readme.read_text().splitlines():
         if line.startswith("```"):
-            in_sh = line == "```sh"
-        elif in_sh and line.startswith("coopsearch "):
+            inside = line == "```" + language
+        elif inside:
             lines.append(line)
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = [line for line in readme_lines("sh") if line.startswith("coopsearch ")]
     assert len(lines) >= 5
     for line in lines:
         parse_config(shlex.split(line)[1:])
+
+
+def test_readme_library_block_runs():
+    source = "\n".join(readme_lines("python"))
+    assert "run_trials(plan)" in source and "sweep_m(plans)" in source
+    exec(compile(source, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

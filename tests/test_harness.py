@@ -3,7 +3,6 @@
 import math
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +39,11 @@ ONE = StrategySpec("one-directional")
 
 def plan(m=10, strategy=ONE, allocation="equal", speeds=UNIT, trials=20_000, seed=0):
     return TrialPlan(R, m, strategy, allocation, speeds, trials, seed)
+
+
+def method_plans(targets, trials, seed=0, speeds=MIXED):
+    """One plan per (method, m) target, as `compare --targets` builds them."""
+    return [TrialPlan(R, m, *resolve_method(token), speeds, trials, seed) for token, m in targets]
 
 
 def test_plan_validation():
@@ -269,44 +273,41 @@ def test_summary_stats_invariants():
 
 
 def test_sweep_m_matches_individual_runs():
-    template = plan(m=2, allocation="random", speeds=MIXED, trials=30_000)
-    sweep = sweep_m(template, [2, 5, 9])
+    sweep = sweep_m([plan(m=m, allocation="random", speeds=MIXED, trials=30_000) for m in (2, 5, 9)])
     assert [m for m, _ in sweep] == [2, 5, 9]
     # each point identical to a standalone run at that m: seed substreams decouple them
-    solo = run_trials(replace(template, num_agents=5))
+    solo = run_trials(plan(m=5, allocation="random", speeds=MIXED, trials=30_000))
     assert dict(sweep)[5] == solo
 
 
 def test_sweep_m_rejects_bad_values():
-    template = plan(trials=1000)
     with pytest.raises(ValueError):
-        sweep_m(template, [])
+        sweep_m([])
     with pytest.raises(ValueError):
-        sweep_m(template, [4, 4])
+        sweep_m([plan(m=4, trials=1000), plan(m=4, trials=1000)])
     with pytest.raises(ValueError):
-        sweep_m(template, [8, 2])
+        sweep_m([plan(m=8, trials=1000), plan(m=2, trials=1000)])
 
 
 def test_sweep_homogeneous_tracks_oracle():
-    template = plan(m=1, trials=60_000)
-    for m, stats in sweep_m(template, [1, 2, 4, 8]):
+    for m, stats in sweep_m([plan(m=m, trials=60_000) for m in (1, 2, 4, 8)]):
         assert abs(stats.mean - L / (2 * m)) < 4 * stats.stderr
 
 
 def test_mean_decreases_with_doubling():
     for token in ("equal", "random", "grouped-2", "proportional"):
-        strategy, allocation = resolve_method(token)
-        template = TrialPlan(R, 4, strategy, allocation, MIXED, 40_000, 0)
-        entries = dict(sweep_m(template, [4, 8, 16]))
+        entries = dict(sweep_m(method_plans([(token, m) for m in (4, 8, 16)], 40_000)))
         for a, b in ((4, 8), (8, 16)):
             sa, sb = entries[a], entries[b]
             assert sb.mean < sa.mean + 2 * (sa.ci95 + sb.ci95), token
 
 
 def test_compare_strategies_rows():
-    rows = compare_strategies(R, MIXED, [("grouped-3", 6), ("proportional", 5)], trials=20_000)
-    assert [(method, m) for method, m, _ in rows] == [("grouped-3", 6), ("proportional", 5)]
-    assert all(stats.trials == 20_000 for _, _, stats in rows)
+    rows = compare_strategies(method_plans([("grouped-3", 6), ("proportional", 5)], 20_000))
+    assert len(rows) == 2
+    assert all(stats.trials == 20_000 for stats in rows)
+    with pytest.raises(ValueError):
+        compare_strategies([])
 
 
 def test_plans_identical_at_any_worker_count():
@@ -314,14 +315,13 @@ def test_plans_identical_at_any_worker_count():
     # differs from the given order; rows must still come back in the given order
     targets = [("grouped-2", 14), ("one-directional", 3), ("proportional", 10)]
     trials = CHUNK_TRIALS + 7
-    compared = {w: compare_strategies(R, MIXED, targets, trials, 3, workers=w) for w in (1, 2, 5)}
+    plans = method_plans(targets, trials, 3)
+    compared = {w: compare_strategies(plans, workers=w) for w in (1, 2, 5)}
     assert compared[1] == compared[2] == compared[5]
-    assert [(method, m) for method, m, _ in compared[1]] == targets
-    strategy, allocation = resolve_method("grouped-2")
-    assert compared[1][0][2] == run_trials(TrialPlan(R, 14, strategy, allocation, MIXED, trials, 3), workers=1)
+    assert list(compared[1]) == [run_trials(p, workers=1) for p in plans]
 
-    template = plan(m=2, allocation="random", speeds=MIXED, trials=trials)
-    swept = {w: sweep_m(template, [2, 5, 9], workers=w) for w in (1, 2, 5)}
+    plans = [plan(m=m, allocation="random", speeds=MIXED, trials=trials) for m in (2, 5, 9)]
+    swept = {w: sweep_m(plans, workers=w) for w in (1, 2, 5)}
     assert swept[1] == swept[2] == swept[5]
     assert [m for m, _ in swept[1]] == [2, 5, 9]
 
@@ -337,8 +337,8 @@ def test_one_worker_runs_every_kernel_on_calling_thread(monkeypatch):
 
     monkeypatch.setattr(harness, "one_directional_times", recording)
     trials = CHUNK_TRIALS + 7
-    sweep_m(plan(m=2, allocation="random", speeds=MIXED, trials=trials), [2, 5], workers=1)
-    compare_strategies(R, MIXED, [("random", 4), ("equal", 3)], trials, workers=1)
+    sweep_m([plan(m=m, allocation="random", speeds=MIXED, trials=trials) for m in (2, 5)], workers=1)
+    compare_strategies(method_plans([("random", 4), ("equal", 3)], trials), workers=1)
     run_trials(plan(m=3, trials=trials), workers=1)
     assert threads == [threading.get_ident()] * 10
 
@@ -347,11 +347,11 @@ def test_bad_worker_count_rejected_before_any_plan_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: ran.append(args))
     with pytest.raises(ValueError):
-        sweep_m(plan(trials=1000), [2, 4], workers=0)
+        sweep_m([plan(m=2, trials=1000), plan(m=4, trials=1000)], workers=0)
     with pytest.raises(ValueError):
-        sweep_m(plan(trials=1000), [2], workers=0)
+        sweep_m([plan(m=2, trials=1000)], workers=0)
     with pytest.raises(ValueError):
-        compare_strategies(R, MIXED, [("random", 4), ("proportional", 3)], 1000, workers=0)
+        compare_strategies(method_plans([("random", 4), ("proportional", 3)], 1000), workers=0)
     assert ran == []
 
 
@@ -371,8 +371,8 @@ def test_parallel_map_order_and_thread_count(workers):
 
 
 def test_compare_homogeneous_equivalence_smoke():
-    rows = compare_strategies(R, (1.0,), [("equal", 10), ("random", 19)], trials=150_000)
-    means = [stats.mean for _, _, stats in rows]
+    rows = compare_strategies(method_plans([("equal", 10), ("random", 19)], 150_000, speeds=UNIT))
+    means = [stats.mean for stats in rows]
     assert abs(means[0] - means[1]) / means[0] < 0.02
 
 
