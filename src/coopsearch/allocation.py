@@ -80,8 +80,7 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.n
     (trials, m) draw would give.
     """
     _require_positive_int(m, "agent count")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _require_positive_int(trials, "trials")
     nbins = _bin_count(region_length)
     starts = _DrawnStarts(np.random.default_rng(seed), region_length, (trials, m))
     counts = np.zeros(nbins, dtype=np.int64)
@@ -102,6 +101,7 @@ def spacing_pmf_oracle(region_length: float, m: int) -> np.ndarray:
     A gap exceeds g with probability (1 - g/L)^(m-1), so bin [k, k+1) carries
     (1 - k/L)^(m-1) - (1 - (k+1)/L)^(m-1).
     """
+    _require_positive_int(m, "agent count")
     if m < 2:
         raise ValueError(f"gap law needs at least 2 points, got m={m}")
     L = region_length

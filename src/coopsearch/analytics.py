@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import SpeedDistribution
+from .model import SpeedDistribution, _require_positive_int
 
 __all__ = [
     "mean_inverse_speed",
@@ -60,8 +60,7 @@ def expected_time_independent(
 ) -> float:
     """Mean search time m/(2L) * E(1/v) * E(l^2) when speed and a (lengths, masses)
     length law are independent."""
-    if m < 1:
-        raise ValueError(f"agent count must be positive, got {m}")
+    _require_positive_int(m, "agent count")
     return _factorized_mean(m, region_length, speed_pmf, second_moment(length_pmf))
 
 
@@ -70,8 +69,7 @@ def expected_time_random_starts(
 ) -> float:
     """Uniform random starts: gap lengths have E(l^2) = 2L^2 / (m (m+1)) exactly,
     so the factorized mean m/(2L) * E(1/v) * E(l^2) is L * E(1/v) / (m + 1)."""
-    if m < 1:
-        raise ValueError(f"agent count must be positive, got {m}")
+    _require_positive_int(m, "agent count")
     L = region_length
     return _factorized_mean(m, L, speed_pmf, 2.0 * L * L / (m * (m + 1)))
 
@@ -95,8 +93,7 @@ def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
     Exact enumeration over count vectors; C(n + k - 1, k - 1) terms for k atoms.
     More than _MAX_TERMS terms raises ValueError rather than run for hours.
     """
-    if n < 1:
-        raise ValueError(f"draw count must be positive, got {n}")
+    _require_positive_int(n, "draw count")
     speeds = [v for v, _ in speed_pmf.atoms]
     masses = [p for _, p in speed_pmf.atoms]
     terms = math.comb(n + len(speeds) - 1, len(speeds) - 1)

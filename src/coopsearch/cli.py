@@ -21,11 +21,9 @@ from . import __version__
 from .allocation import estimate_length_pmf, spacing_pmf_oracle
 from .harness import (
     STRATEGIES,
-    StrategySpec,
     TrialPlan,
     closed_form,
     compare_strategies,
-    method_name,
     parallel_map,
     resolve_method,
     run_trials,
@@ -52,10 +50,6 @@ STAT_COLUMNS = ("strategy", "m", "mean", "stderr", "ci95", "trials", "seed")
 
 # what a command returns: its column names and one row per output line
 Table = tuple[tuple[str, ...], list[tuple]]
-
-
-class CliError(ValueError):
-    """Configuration problem; reported as a diagnostic with exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,7 @@ def _items(text: str, option: str) -> list[str]:
     """The comma-separated entries of an option's text, blank entries dropped."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise CliError(f"empty {option} value {text!r}")
+        raise ValueError(f"empty {option} value {text!r}")
     return items
 
 
@@ -94,13 +88,13 @@ def _parse_speeds(text: str) -> SpeedDistribution | tuple[float, ...]:
     items = _items(text, "--speeds")
     pairs = [t.split(":", 1) for t in items]
     if len({len(pair) for pair in pairs}) > 1:
-        raise CliError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
+        raise ValueError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
     try:
         if len(pairs[0]) == 2:
             return SpeedDistribution(tuple((float(v), float(p)) for v, p in pairs))
         return tuple(float(t) for t in items)
     except ValueError as e:
-        raise CliError(f"bad --speeds value {text!r}: {e}") from None
+        raise ValueError(f"bad --speeds value {text!r}: {e}") from None
 
 
 def _speeds_text(speeds: SpeedDistribution | tuple[float, ...]) -> str:
@@ -117,12 +111,12 @@ def _parse_agents(text: str) -> tuple[int, ...]:
     try:
         values = [int(t) for t in parts]
     except ValueError:
-        raise CliError(bad) from None
+        raise ValueError(bad) from None
     if not ranged:
         return tuple(values)
     lo, hi, step = (values + [1])[:3]
     if len(values) > 3 or step < 1 or hi < lo:
-        raise CliError(bad)
+        raise ValueError(bad)
     return tuple(range(lo, hi + 1, step))
 
 
@@ -131,11 +125,11 @@ def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
     for item in _items(text, "--targets"):
         token, sep, m_text = item.rpartition(":")
         if not sep:
-            raise CliError(f"bad --targets entry {item!r}, expected method:m")
+            raise ValueError(f"bad --targets entry {item!r}, expected method:m")
         try:
             m = int(m_text)
         except ValueError:
-            raise CliError(f"bad agent count in --targets entry {item!r}") from None
+            raise ValueError(f"bad agent count in --targets entry {item!r}") from None
         out.append((token.strip(), m))
     return tuple(out)
 
@@ -212,65 +206,47 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> argparse.Namespace:
     """Parse argv into the validated, canonical namespace the command runs on.
 
+    Each option's text is replaced by its canonical value, checked on the way.
     argparse's own errors exit through SystemExit; every other configuration error
-    raises CliError.  The region, the speed law and every trial plan the command
+    raises ValueError.  The region, the speed law and every trial plan the command
     uses are built here, so their own checks validate the input; `ns.plans` keeps
     the plans, one per output row, and the command runs them.
     """
     ns = _build_parser().parse_args(argv)
-    try:
-        return _validated(ns)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-
-
-def _canonical(token: str, allocation: str | None = None) -> tuple[str, StrategySpec, str]:
-    """A method token's canonical name, strategy and allocation.
-
-    An allocation name stays as it is; a strategy is named by its StrategySpec,
-    so grouped_03 and grouped-+3 both become grouped-3.
-    """
-    strategy, allocation = resolve_method(token, allocation)
-    name = method_name(token)
-    return (name if name == allocation else str(strategy)), strategy, allocation
-
-
-def _validated(ns: argparse.Namespace) -> argparse.Namespace:
-    """Replace each option's text with its canonical value, checking it on the way."""
     region = RegionSpec(ns.region_length)
     ns.region_length = region.length
     if ns.workers is not None and ns.workers < 1:
-        raise CliError(f"--workers must be positive, got {ns.workers}")
+        raise ValueError(f"--workers must be positive, got {ns.workers}")
     if "speeds" in ns:
         ns.speeds = _parse_speeds(ns.speeds)
     if "agents" in ns:
         ns.agents = _parse_agents(ns.agents)
     # each output row's (name, strategy, allocation) and m, every token resolved once
     if "targets" in ns:
-        methods = [(_canonical(token), m) for token, m in _parse_targets(ns.targets)]
+        methods = [(resolve_method(token), m) for token, m in _parse_targets(ns.targets)]
         ns.targets = tuple((name, m) for (name, _, _), m in methods)
     if "strategy" in ns:
-        method = _canonical(ns.strategy, getattr(ns, "allocation", None))
+        method = resolve_method(ns.strategy, getattr(ns, "allocation", None))
         ns.strategy, strategy, ns.allocation = method
         methods = [(method, m) for m in ns.agents]
 
     if ns.command == "pl-hist":
         if any(m < 2 for m in ns.agents):
-            raise CliError(f"pl-hist needs m >= 2, got {ns.agents}")
+            raise ValueError(f"pl-hist needs m >= 2, got {ns.agents}")
         if ns.trials < 1 or ns.seed < 0:
-            raise CliError(f"pl-hist needs --trials >= 1, --seed >= 0; got {ns.trials}, {ns.seed}")
+            raise ValueError(f"pl-hist needs --trials >= 1, --seed >= 0; got {ns.trials}, {ns.seed}")
         return ns
     if ns.command == "simulate" and len(ns.agents) != 1:
-        raise CliError(f"simulate takes a single --agents value, got {ns.agents}")
+        raise ValueError(f"simulate takes a single --agents value, got {ns.agents}")
     if ns.command == "sweep" and any(b <= a for a, b in zip(ns.agents, ns.agents[1:])):
-        raise CliError(f"agent counts must be strictly increasing, got {ns.agents}")
+        raise ValueError(f"agent counts must be strictly increasing, got {ns.agents}")
     if ns.command == "expected":
         if not isinstance(ns.speeds, SpeedDistribution):
             if len(ns.speeds) != 1:
-                raise CliError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
+                raise ValueError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
             ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
         if ns.allocation not in STRATEGIES[strategy.kind].closed_forms:
-            raise CliError(
+            raise ValueError(
                 f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
             )
     # the plans the command runs, one per output row; building them checks them
@@ -352,7 +328,7 @@ def main(argv=None) -> int:
         ns = parse_config(argv)
     except SystemExit as e:  # argparse has printed its usage error, or --help
         return e.code
-    except CliError as e:
+    except ValueError as e:  # a configuration error
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

@@ -1,8 +1,9 @@
 """Monte-Carlo trial runner, summary statistics, sweeps over m, and strategy comparison.
 
 Every strategy kind is declared once, in STRATEGIES: the allocations it runs on,
-its batch kernel, and its closed-form means.  Plan validation, method names, the
-kernel dispatch and `closed_form` all read that table.
+its batch kernel, and its closed-form means.  Plan validation, `resolve_method` (the
+one reader of a method token), the kernel dispatch and `closed_form` all read that
+table.
 
 Reproducibility contract: results are bit-identical for identical plans at any worker
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
@@ -48,7 +49,6 @@ __all__ = [
     "StrategySpec",
     "TrialPlan",
     "SummaryStats",
-    "method_name",
     "parallel_map",
     "resolve_method",
     "closed_form",
@@ -108,11 +108,6 @@ STRATEGIES = {
 }
 
 
-def method_name(text: str) -> str:
-    """Canonical spelling of a method token: trimmed, lower case, hyphens for underscores."""
-    return text.strip().lower().replace("_", "-")
-
-
 @dataclass(frozen=True)
 class StrategySpec:
     """Which cooperation strategy a trial uses; grouped carries its group size."""
@@ -127,20 +122,6 @@ class StrategySpec:
             _require_positive_int(self.group_size, "group_size")
         elif self.group_size is not None:
             raise ValueError(f"group_size only applies to grouped, not {self.kind!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "StrategySpec":
-        """Parse 'one-directional', 'grouped-3', etc.; underscores accepted for hyphens."""
-        token = method_name(text)
-        if token.startswith("grouped-"):
-            try:
-                n = int(token[len("grouped-"):])
-            except ValueError:
-                raise ValueError(f"bad group size in strategy {text!r}") from None
-            return cls("grouped", n)
-        if token == "grouped":
-            raise ValueError("grouped strategy needs a size, e.g. 'grouped-3'")
-        return cls(token)
 
     def __str__(self) -> str:
         if self.kind == "grouped":
@@ -208,8 +189,7 @@ class SummaryStats:
     maximum: float
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+        _require_positive_int(self.trials, "trials")
         slack = 1e-9 * max(1.0, abs(self.mean))
         if not (self.minimum <= self.mean + slack and self.mean <= self.maximum + slack):
             raise ValueError(
@@ -222,23 +202,36 @@ class SummaryStats:
         return 1.96 * self.stderr
 
 
-def resolve_method(token: str, allocation: str | None = None) -> tuple[StrategySpec, str]:
-    """Map a method name to (strategy, allocation).
+def resolve_method(token: str, allocation: str | None = None) -> tuple[str, StrategySpec, str]:
+    """The canonical name, strategy and allocation of a method token.
 
-    The name of a one-directional allocation (equal, semi-equal, random) means a
-    one-directional sweep over it.  A strategy name takes its kind's default
-    allocation, or `allocation` when given, which the kind must run on.
+    The token is read trimmed, in lower case, with hyphens for underscores.  The name
+    of a one-directional allocation (equal, semi-equal, random) means a one-directional
+    sweep over it, and names itself.  A strategy name takes its kind's default
+    allocation, or `allocation` when given, which the kind must run on; it is named by
+    its StrategySpec, so grouped_03 and grouped-+3 are both grouped-3.  The name this
+    returns, with the same allocation, resolves to the same triple.
     """
-    tok = method_name(token)
-    if tok in STRATEGIES["one-directional"].allocations:
-        if allocation is not None and allocation != tok:
-            raise ValueError(f"method {token!r} implies allocation {tok!r}, got {allocation!r}")
-        return StrategySpec("one-directional"), tok
-    strategy = StrategySpec.parse(tok)
+    name = token.strip().lower().replace("_", "-")
+    if name in STRATEGIES["one-directional"].allocations:
+        if allocation is not None and allocation != name:
+            raise ValueError(f"method {token!r} implies allocation {name!r}, got {allocation!r}")
+        return name, StrategySpec("one-directional"), name
+    kind, sep, size = name.partition("-")
+    if kind != "grouped":
+        strategy = StrategySpec(name)
+    elif not sep:
+        raise ValueError("grouped strategy needs a size, e.g. 'grouped-3'")
+    else:
+        try:
+            size = int(size)
+        except ValueError:
+            raise ValueError(f"bad group size in strategy {token!r}") from None
+        strategy = StrategySpec("grouped", size)
     if allocation is None:
-        return strategy, STRATEGIES[strategy.kind].allocations[0]
+        allocation = STRATEGIES[strategy.kind].allocations[0]
     _require_runs_on(strategy, allocation)
-    return strategy, allocation
+    return str(strategy), strategy, allocation
 
 
 def closed_form(plan: TrialPlan) -> float | None:
@@ -267,8 +260,7 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None, size: Calla
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    _require_positive_int(workers, "workers")
     threads = min(workers, len(items))
     if threads <= 1:
         return [fn(item) for item in items]

@@ -45,7 +45,8 @@ class _DrawnStarts:
 
 
 def _require_positive_int(value, name: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    """The one rule for a count: an int or numpy integer, at least 1, and not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

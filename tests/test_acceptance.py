@@ -39,12 +39,12 @@ UNIT = SpeedDistribution.point_mass(1.0)
 
 def closed_unit(token: str, m: int) -> float:
     """The closed-form mean for unit-speed agents, as `coopsearch expected` gives it."""
-    return closed_form(TrialPlan(REGION, m, *resolve_method(token), UNIT, 1, 0))
+    return closed_form(TrialPlan(REGION, m, *resolve_method(token)[1:], UNIT, 1, 0))
 
 
 @lru_cache(maxsize=None)
 def sim(token: str, m: int, speeds_key: str = "mixed"):
-    strategy, allocation = resolve_method(token)
+    _, strategy, allocation = resolve_method(token)
     speeds = MIXED if speeds_key == "mixed" else UNIT
     plan = TrialPlan(REGION, m, strategy, allocation, speeds, TRIALS, 0)
     return run_trials(plan)

@@ -25,7 +25,7 @@ L = 1000.0
 
 
 def equal_starts(m):
-    return list(_fixed_starts(TrialPlan(R, m, *resolve_method("equal"), (1.0,), 1)))
+    return list(_fixed_starts(TrialPlan(R, m, *resolve_method("equal")[1:], (1.0,), 1)))
 
 
 def test_allocate_equal():
@@ -106,7 +106,7 @@ def test_semi_equal_starts_are_distinct_dyadics(m):
 
 def random_starts(m, seed):
     """Chunk 0's start draw for a random-allocation plan."""
-    plan = TrialPlan(R, m, *resolve_method("random"), (1.0,), 1, seed)
+    plan = TrialPlan(R, m, *resolve_method("random")[1:], (1.0,), 1, seed)
     return _chunk_rng(plan, 0).uniform(0.0, L, m)
 
 
@@ -137,7 +137,7 @@ def test_allocate_proportional():
     np.testing.assert_allclose(times, [0.0, 249.999, 0.0, 250.0], rtol=1e-12)
     assert oracles.proportional_arcs([1.0, 3.0], L) == ([0.0, 250.0], [250.0, 750.0])
     with pytest.raises(ValueError):  # speeds are checked where the plan is built
-        TrialPlan(R, 2, *resolve_method("proportional"), (1.0, -2.0), 1)
+        TrialPlan(R, 2, *resolve_method("proportional")[1:], (1.0, -2.0), 1)
 
 
 def test_length_pmf_equal():
@@ -165,8 +165,9 @@ def test_spacing_pmf_oracle_normalized_and_monotone():
         assert math.isclose(math.fsum(masses), 1.0, rel_tol=1e-9)
         if m >= 3:
             assert all(b < a for a, b in zip(masses, masses[1:]))
-    with pytest.raises(ValueError):
-        spacing_pmf_oracle(L, 1)
+    for m in (1, 0, 2.5, True):  # a gap needs two points, and a count is an integer
+        with pytest.raises(ValueError):
+            spacing_pmf_oracle(L, m)
 
 
 def test_histogram_bin_budget():
@@ -179,6 +180,14 @@ def test_histogram_bin_budget():
             spacing_pmf_oracle(length, 2)
         with pytest.raises(ValueError, match="gap histogram"):
             estimate_length_pmf(length, 2, 10, 0)
+
+
+@pytest.mark.parametrize("count", [0, 2.5, True])
+def test_estimate_length_pmf_counts_are_positive_integers(count):
+    with pytest.raises(ValueError, match="positive integer"):
+        estimate_length_pmf(L, count, 10, 0)
+    with pytest.raises(ValueError, match="positive integer"):
+        estimate_length_pmf(L, 3, count, 0)
 
 
 def test_estimate_length_pmf_deterministic():

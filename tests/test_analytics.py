@@ -30,7 +30,7 @@ UNIT = SpeedDistribution.point_mass(1.0)
 
 def closed(method, m, speed=1.0, length=L):
     """The STRATEGIES table's closed form for `method` with m agents of one shared speed."""
-    plan = TrialPlan(RegionSpec(length), m, *resolve_method(method), (speed,), 1)
+    plan = TrialPlan(RegionSpec(length), m, *resolve_method(method)[1:], (speed,), 1)
     return closed_form(plan)
 
 
@@ -160,6 +160,19 @@ def test_speed_sum_inverse_mean_refuses_huge_enumeration():
     law = SpeedDistribution(tuple((1.0 + k / 10, 0.1) for k in range(10)))
     with pytest.raises(ValueError, match="350343565 terms"):
         speed_sum_inverse_mean(law, 32)
+
+
+@pytest.mark.parametrize("count", [0, 2.5, True])
+def test_counts_are_positive_integers(count):
+    # a float or bool count once ran, or failed with TypeError deep in the enumeration
+    with pytest.raises(ValueError, match="positive integer"):
+        expected_time_random_starts(L, count, MIXED)
+    with pytest.raises(ValueError, match="positive integer"):
+        expected_time_independent(MIXED, length_pmf_equal(L, 4), count, L)
+    with pytest.raises(ValueError, match="positive integer"):
+        speed_sum_inverse_mean(MIXED, count)
+    with pytest.raises(ValueError, match="positive integer"):
+        expected_time_proportional_resampled(L, MIXED, count)
 
 
 @pytest.mark.parametrize("atoms", [1, 3, 5, 10])

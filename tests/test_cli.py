@@ -73,6 +73,10 @@ def config_line_of(text: str) -> list[str]:
         ["expected", "--agents", "1:2:3:4"],
         ["pl-hist", "--agents", "2:x"],
         ["simulate", "--agents", ","],
+        # method tokens, read by harness.resolve_method alone
+        ["simulate", "--agents", "3", "--strategy", "grouped"],
+        ["simulate", "--agents", "3", "--strategy", "grouped-x"],
+        ["compare", "--targets", "grouped:4"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):

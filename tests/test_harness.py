@@ -43,7 +43,7 @@ def plan(m=10, strategy=ONE, allocation="equal", speeds=UNIT, trials=20_000, see
 
 def method_plans(targets, trials, seed=0, speeds=MIXED):
     """One plan per (method, m) target, as `compare --targets` builds them."""
-    return [TrialPlan(R, m, *resolve_method(token), speeds, trials, seed) for token, m in targets]
+    return [TrialPlan(R, m, *resolve_method(token)[1:], speeds, trials, seed) for token, m in targets]
 
 
 def test_plan_validation():
@@ -57,6 +57,11 @@ def test_plan_validation():
         plan(m=2, strategy=StrategySpec("grouped", 3), allocation="random")
     with pytest.raises(ValueError):
         plan(trials=0)
+    for count in (True, 2.5, 0):  # a count is an integer, and a bool is not one
+        with pytest.raises(ValueError):
+            plan(m=count)
+        with pytest.raises(ValueError):
+            plan(trials=count)
     with pytest.raises(ValueError):
         plan(seed=-1)
     with pytest.raises(ValueError):
@@ -66,19 +71,40 @@ def test_plan_validation():
 
 
 def test_resolve_method():
-    assert resolve_method("equal") == (ONE, "equal")
-    assert resolve_method("semi_equal") == (ONE, "semi-equal")
-    assert resolve_method("random") == (ONE, "random")
-    assert resolve_method("one-directional") == (ONE, "random")
-    assert resolve_method("two-directional", "equal") == (StrategySpec("two-directional"), "equal")
-    assert resolve_method("grouped-3") == (StrategySpec("grouped", 3), "random")
-    assert resolve_method("proportional") == (StrategySpec("proportional"), "proportional")
+    assert resolve_method("equal") == ("equal", ONE, "equal")
+    assert resolve_method("random") == ("random", ONE, "random")
+    assert resolve_method("one_directional") == ("one-directional", ONE, "random")
+    two = StrategySpec("two-directional")
+    assert resolve_method("two-directional", "equal") == ("two-directional", two, "equal")
+    assert resolve_method("grouped-3") == ("grouped-3", StrategySpec("grouped", 3), "random")
+    prop = StrategySpec("proportional")
+    assert resolve_method("proportional") == ("proportional", prop, "proportional")
+    # trimmed, lower case, hyphens for underscores; a strategy is named by its spec
+    assert resolve_method(" Semi_Equal ") == ("semi-equal", ONE, "semi-equal")
+    for token in ("grouped_03", "grouped-+3", " GROUPED-3"):
+        assert resolve_method(token)[0] == "grouped-3"
+    assert str(StrategySpec("grouped", 4)) == "grouped-4"
+    assert str(two) == "two-directional"
+    bad = [("equal", "random"), ("proportional", "equal"), ("one-directional", "proportional")]
+    bad += [(token, None) for token in ("diagonal", "grouped", "grouped-x", "grouped-0", "groupedx")]
+    for token, allocation in bad:
+        with pytest.raises(ValueError):
+            resolve_method(token, allocation)
     with pytest.raises(ValueError):
-        resolve_method("equal", "random")
+        StrategySpec("one-directional", 3)
     with pytest.raises(ValueError):
-        resolve_method("proportional", "equal")
-    with pytest.raises(ValueError):
-        resolve_method("diagonal")
+        StrategySpec("grouped", 0)
+
+
+def test_resolved_names_resolve_to_themselves():
+    # what lets an echoed config line regenerate its file
+    cases = [(name, None) for name in STRATEGIES["one-directional"].allocations]
+    for kind, table in STRATEGIES.items():
+        names = [f"grouped-{n}" for n in range(1, 5)] if kind == "grouped" else [kind]
+        cases += [(name, allocation) for name in names for allocation in table.allocations]
+    for token, allocation in cases:
+        name, _, allocation = method = resolve_method(token, allocation)
+        assert resolve_method(name, allocation) == method, token
 
 
 @pytest.mark.parametrize("kind", list(STRATEGIES))
@@ -93,7 +119,7 @@ def test_kernels_called_through_harness_globals(kind, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(harness, name, counting)
-    strategy = StrategySpec.parse("grouped-2" if kind == "grouped" else kind)
+    strategy = StrategySpec("grouped", 2) if kind == "grouped" else StrategySpec(kind)
     allocation = STRATEGIES[kind].allocations[0]
     run_trials(plan(m=4, strategy=strategy, allocation=allocation, speeds=MIXED, trials=100))
     assert calls == [(100, 4)]
@@ -169,7 +195,7 @@ def test_run_trials_chunk_seed_contract():
     cases += [(256, method, MIXED) for method in methods[:4]]
     cases += [(256, methods[0], UNIT), (256, methods[2], point), (256, methods[6], MIXED)]
     for m, (method, allocation), speeds in cases:
-        strategy = StrategySpec.parse(method)
+        _, strategy, _ = resolve_method(method)
         if strategy.kind == "grouped" and strategy.group_size > m:
             continue
         p = plan(m, strategy, allocation, speeds, trials=CHUNK_TRIALS + 1000, seed=42)
@@ -211,7 +237,7 @@ def test_drawn_starts_read_in_row_order():
 def test_random_starts_do_not_take_a_chunk_array(method):
     # drawing the whole (trials, m) start array up front peaked above twice the speed
     # array; drawn a block at a time, the speed array is the only chunk-sized one
-    p = plan(64, StrategySpec.parse(method), "random", MIXED, trials=CHUNK_TRIALS)
+    p = plan(64, resolve_method(method)[1], "random", MIXED, trials=CHUNK_TRIALS)
     speeds_bytes = CHUNK_TRIALS * 64 * 8
     tracemalloc.start()
     try:

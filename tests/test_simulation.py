@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import oracles
 from coopsearch.allocation import semi_equal_starts
-from coopsearch.harness import StrategySpec
 from coopsearch.model import _BLOCK_ENTRIES, _row_blocks
 from coopsearch.simulation import (
     grouped_times,
@@ -27,25 +26,6 @@ from coopsearch.simulation import (
 )
 
 L = 1000.0
-ONE = StrategySpec("one-directional")
-TWO = StrategySpec("two-directional")
-
-
-def test_strategy_spec_parse():
-    assert StrategySpec.parse("one_directional") == ONE
-    assert StrategySpec.parse("grouped-3") == StrategySpec("grouped", 3)
-    assert str(StrategySpec("grouped", 4)) == "grouped-4"
-    assert str(TWO) == "two-directional"
-    with pytest.raises(ValueError):
-        StrategySpec.parse("grouped")
-    with pytest.raises(ValueError):
-        StrategySpec.parse("grouped-x")
-    with pytest.raises(ValueError):
-        StrategySpec.parse("sideways")
-    with pytest.raises(ValueError):
-        StrategySpec("one-directional", 3)
-    with pytest.raises(ValueError):
-        StrategySpec("grouped", 0)
 
 
 def test_one_directional_examples():
