@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coopsearch.allocation import semi_equal_starts
+from coopsearch.harness import StrategySpec, resolve_method
 from coopsearch.model import _BLOCK_ENTRIES, _row_blocks
 from coopsearch.simulation import (
     grouped_times,
@@ -26,6 +27,23 @@ from coopsearch.simulation import (
 )
 
 L = 1000.0
+ONE = StrategySpec("one-directional")
+TWO = StrategySpec("two-directional")
+
+
+def test_strategy_spec_parse():
+    # a strategy token is read into its StrategySpec by resolve_method
+    assert resolve_method("one_directional")[1] == ONE
+    assert resolve_method("grouped-3")[1] == StrategySpec("grouped", 3)
+    assert str(StrategySpec("grouped", 4)) == "grouped-4"
+    assert str(TWO) == "two-directional"
+    for token in ("grouped", "grouped-x", "sideways"):
+        with pytest.raises(ValueError):
+            resolve_method(token)
+    with pytest.raises(ValueError):
+        StrategySpec("one-directional", 3)
+    with pytest.raises(ValueError):
+        StrategySpec("grouped", 0)
 
 
 def test_one_directional_examples():
