@@ -34,7 +34,9 @@ from .analytics import (
     expected_time_proportional_resampled,
     expected_time_random_starts,
 )
-from .model import RegionSpec, SpeedDistribution, _DrawnStarts, _require_positive_int
+from .model import (
+    RegionSpec, SpeedDistribution, _DrawnStarts, _require_finite_positive, _require_positive_int
+)
 from .simulation import (
     grouped_times,
     one_directional_times,
@@ -163,7 +165,9 @@ class TrialPlan:
                 f"group size {self.strategy.group_size} exceeds agent count {self.num_agents}"
             )
         _require_positive_int(self.trials, "trials")
-        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
+        if isinstance(self.base_seed, bool) or not (
+            isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0
+        ):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if isinstance(self.speeds, SpeedDistribution):
             return
@@ -174,8 +178,7 @@ class TrialPlan:
                 f"fixed speeds must have length 1 or {self.num_agents}, got {len(self.speeds)}"
             )
         for v in self.speeds:
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"speeds must be finite and positive, got {v!r}")
+            _require_finite_positive(v, "speeds")
 
 
 @dataclass(frozen=True)

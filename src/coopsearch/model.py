@@ -50,6 +50,12 @@ def _require_positive_int(value, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _require_finite_positive(value, name: str) -> None:
+    """The one rule for a length or a speed: finite, above 0, and not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Circular (wrap-around) search region; positions live on [0, length)."""
@@ -57,8 +63,7 @@ class RegionSpec:
     length: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"region length must be finite and positive, got {self.length!r}")
+        _require_finite_positive(self.length, "region length")
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,8 @@ class SpeedDistribution:
             raise ValueError("speed distribution needs at least one atom")
         seen = set()
         for speed, mass in self.atoms:
-            if not (math.isfinite(speed) and speed > 0):
-                raise ValueError(f"speed atom must be finite and positive, got {speed!r}")
-            if not (math.isfinite(mass) and 0 < mass <= 1):
+            _require_finite_positive(speed, "speed atom")
+            if isinstance(mass, (bool, np.bool_)) or not (math.isfinite(mass) and 0 < mass <= 1):
                 raise ValueError(f"mass for speed {speed} must lie in (0, 1], got {mass!r}")
             if speed in seen:
                 raise ValueError(f"duplicate speed atom {speed}")

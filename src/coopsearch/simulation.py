@@ -5,15 +5,15 @@ trials' solution positions, and returns one time per trial.  They share one
 driver, which checks the batch and runs the kernel's formula per row block of
 about _BLOCK_ENTRIES entries; the one- and two-directional formulas (and
 proportional through one-directional) work in one reused (rows, m) array.
-numpy pays a fixed cost per row when it reduces along a short row, so rows of
-at most _SWEEP_COLUMNS agents take their minimum, and proportional its prefix
-sums, a column at a time.
+numpy pays a fixed cost per row when it reduces along a short row, so a row of
+at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group
+starts at or before x, a column at a time, and so does the sum of a row of at
+most _SUM_SWEEP_COLUMNS speeds.
 
 The grouped kernel sorts each row's starts once with the default sort.  Equal
 starts have more than one sorted order, and the stable one is the contract, so
-only rows with a tie sort again, stably, and short rows sort stably at once.  It
-then gathers just the owner group's speeds and sums them in sorted order at that
-group's width.
+only rows with a tie sort again, stably.  It then gathers just the owner group's
+speeds and sums them in sorted order at that group's width.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import _row_blocks
+from .model import _require_finite_positive, _row_blocks
 
 __all__ = [
     "one_directional_times",
@@ -38,16 +38,12 @@ __all__ = [
 ]
 
 
-# rows of at most this many entries take their minimum and prefix sums a column at a time
+# rows of at most this many entries take their minimum, and grouped counts its
+# boundaries at or before x, a column at a time
 _SWEEP_COLUMNS = 32
-# the grouped kernel counts a trial's group boundaries at or before x a column at a
-# time up to this many groups; past about 20, add.reduce counts the booleans faster
-_COUNT_SWEEP_COLUMNS = 16
 # numpy's add.reduce sums a row of at most this many entries left to right, as a
 # column sweep does, and a longer one pairwise
 _SUM_SWEEP_COLUMNS = 7
-# rows of at most this many starts sort faster with numpy's stable sort than its default
-_STABLE_SORT_COLUMNS = 4
 
 
 def _reduce_rows(ufunc, d: np.ndarray, out: np.ndarray, sweep_width: int) -> np.ndarray:
@@ -61,16 +57,6 @@ def _reduce_rows(ufunc, d: np.ndarray, out: np.ndarray, sweep_width: int) -> np.
     for j in range(1, d.shape[1]):
         ufunc(out, d[:, j], out=out)
     return out
-
-
-def _prefix_sums(d: np.ndarray) -> None:
-    """`np.cumsum(d, axis=1, out=d)`, which also adds left to right, a column at a time
-    in rows of at most _SWEEP_COLUMNS entries."""
-    if d.shape[1] > _SWEEP_COLUMNS:
-        np.cumsum(d, axis=1, out=d)
-    else:
-        for j in range(1, d.shape[1]):
-            d[:, j] += d[:, j - 1]
 
 
 def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
@@ -88,8 +74,7 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
     trials, m = speeds.shape
     if x.shape != (trials,):
         raise ValueError(f"x must have shape ({trials},), got {x.shape}")
-    if length <= 0:
-        raise ValueError(f"region length must be positive, got {length!r}")
+    _require_finite_positive(length, "region length")
     _require_in_region(x, length, "solution positions")
     # fixed starts arrive as one broadcast row, checked once; drawn starts per block
     broadcast = isinstance(starts, np.ndarray) and starts.strides[0] == 0
@@ -136,11 +121,10 @@ def _two_directional_block(s, v, x, length, d, out) -> None:
 
 def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     trials, m = s.shape
-    stable = m <= _STABLE_SORT_COLUMNS
-    order = np.argsort(s, axis=1, kind="stable" if stable else None)
+    order = np.argsort(s, axis=1)
     srt = np.take_along_axis(s, order, axis=1)
     # only equal starts have another sorted order, and the stable one is the contract
-    if not stable and (tie := srt[:, 1:] == srt[:, :-1]).any():
+    if (tie := srt[:, 1:] == srt[:, :-1]).any():
         tied = tie.any(axis=1)
         order[tied] = np.argsort(s[tied], axis=1, kind="stable")
         # -0.0 and 0.0 tie, so the sorted starts follow the stable order too
@@ -148,7 +132,7 @@ def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     bounds = srt[:, ::group_size]  # each group's first start
     G = bounds.shape[1]
     # owner group: largest boundary at or before x, wrapping to the last group
-    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _COUNT_SWEEP_COLUMNS)
+    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS)
     pos -= 1
     pos[pos < 0] = G - 1
     rows = np.arange(trials)
@@ -176,7 +160,7 @@ def _proportional_block(_, v, x, length, d, out) -> None:
     # sums, clamped at L where rounding carries a start past it
     total = _reduce_rows(np.add, v, np.empty(len(x)), _SUM_SWEEP_COLUMNS)
     np.multiply(v, (length / total)[:, None], out=d)
-    _prefix_sums(d)
+    np.cumsum(d, axis=1, out=d)
     d[:, 1:] = d[:, :-1]
     d[:, 0] = 0.0
     np.minimum(d, length, out=d)

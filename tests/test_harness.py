@@ -65,6 +65,11 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         plan(seed=-1)
     with pytest.raises(ValueError):
+        plan(seed=True)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError):
+            plan(speeds=(flag,))
+    with pytest.raises(ValueError):
         plan(speeds=(1.0, 2.0))  # wrong length for m=10
     with pytest.raises(ValueError):
         plan(speeds=())

@@ -46,7 +46,7 @@ def test_wrap_distances_complement(a, b):
 
 
 def test_region_validation():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, True, np.True_):
         with pytest.raises(ValueError):
             RegionSpec(bad)
 
@@ -78,6 +78,11 @@ def test_speed_distribution_validation():
         SpeedDistribution(((0.0, 1.0),))
     with pytest.raises(ValueError):
         SpeedDistribution(((1.0, 0.0), (2.0, 1.0)))  # zero mass atom
+    for flag in (True, np.True_):  # a speed or a mass is a number, and a bool is not one
+        with pytest.raises(ValueError):
+            SpeedDistribution(((flag, 1.0),))
+        with pytest.raises(ValueError):
+            SpeedDistribution(((1.0, flag),))
 
 
 def test_speed_distribution_sampling():
