@@ -9,7 +9,6 @@ import numpy as np
 from .model import _DrawnStarts, _require_positive_int, _row_blocks
 
 __all__ = [
-    "semi_equal_starts",
     "length_pmf_equal",
     "length_pmf_semi_equal",
     "estimate_length_pmf",

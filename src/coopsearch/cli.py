@@ -31,17 +31,6 @@ from .harness import (
 )
 from .model import RegionSpec, SpeedDistribution
 
-__all__ = [
-    "OPTIONS",
-    "OutputRecord",
-    "cmd_pl_hist",
-    "cmd_expected",
-    "cmd_simulate",
-    "cmd_sweep",
-    "cmd_compare",
-    "main",
-]
-
 DEFAULT_SPEEDS = "0.5:0.3,1.0:0.3,1.375:0.4"
 DEFAULT_TARGETS = "one-directional:23,two-directional:14,grouped-3:12,grouped-4:11,proportional:10"
 DEFAULT_HIST_AGENTS = "2,5,10,20,30"
@@ -76,25 +65,25 @@ class OutputRecord:
         return "\n".join(lines) + "\n"
 
 
-def _items(text: str, option: str) -> list[str]:
+def _items(text: str) -> list[str]:
     """The comma-separated entries of an option's text, blank entries dropped."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise ValueError(f"empty {option} value {text!r}")
+        raise argparse.ArgumentTypeError(f"empty value {text!r}")
     return items
 
 
 def _parse_speeds(text: str) -> SpeedDistribution | tuple[float, ...]:
-    items = _items(text, "--speeds")
+    items = _items(text)
     pairs = [t.split(":", 1) for t in items]
     if len({len(pair) for pair in pairs}) > 1:
-        raise ValueError(f"--speeds mixes v:mass pairs with bare values: {text!r}")
+        raise argparse.ArgumentTypeError(f"{text!r} mixes v:mass pairs with bare values")
     try:
         if len(pairs[0]) == 2:
             return SpeedDistribution(tuple((float(v), float(p)) for v, p in pairs))
         return tuple(float(t) for t in items)
     except ValueError as e:
-        raise ValueError(f"bad --speeds value {text!r}: {e}") from None
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {e}") from None
 
 
 def _speeds_text(speeds: SpeedDistribution | tuple[float, ...]) -> str:
@@ -106,31 +95,28 @@ def _speeds_text(speeds: SpeedDistribution | tuple[float, ...]) -> str:
 def _parse_agents(text: str) -> tuple[int, ...]:
     """`m1,m2,...`, or the range `lo:hi[:step]` with hi included and step >= 1."""
     ranged = ":" in text
-    bad = f"bad --agents value {text!r}, expected m1,m2,... or lo:hi[:step], lo <= hi, step >= 1"
-    parts = text.split(":") if ranged else _items(text, "--agents")
+    bad = f"bad value {text!r}, expected m1,m2,... or lo:hi[:step], lo <= hi, step >= 1"
+    parts = text.split(":") if ranged else _items(text)
     try:
         values = [int(t) for t in parts]
     except ValueError:
-        raise ValueError(bad) from None
+        raise argparse.ArgumentTypeError(bad) from None
     if not ranged:
         return tuple(values)
     lo, hi, step = (values + [1])[:3]
     if len(values) > 3 or step < 1 or hi < lo:
-        raise ValueError(bad)
+        raise argparse.ArgumentTypeError(bad)
     return tuple(range(lo, hi + 1, step))
 
 
 def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
     out = []
-    for item in _items(text, "--targets"):
-        token, sep, m_text = item.rpartition(":")
-        if not sep:
-            raise ValueError(f"bad --targets entry {item!r}, expected method:m")
+    for item in _items(text):
         try:
-            m = int(m_text)
+            token, m_text = item.rsplit(":", 1)
+            out.append((token.strip(), int(m_text)))
         except ValueError:
-            raise ValueError(f"bad agent count in --targets entry {item!r}") from None
-        out.append((token.strip(), m))
+            raise argparse.ArgumentTypeError(f"bad entry {item!r}, expected method:m") from None
     return tuple(out)
 
 
@@ -144,22 +130,23 @@ _SAMPLING = ("pl-hist", "simulate", "sweep", "compare")  # the commands that dra
 _SEARCHING = ("expected", "simulate", "sweep", "compare")  # the commands that model agent speeds
 
 # (flag, {command: argparse keywords}, echo), one row per option, in echo order.
-# `echo` writes an option's canonical value into the config line; a set store_true
-# flag echoes bare, and a row without `echo` never appears in the config line.
+# A `type` keyword reads the option's text into its canonical value, or raises
+# argparse.ArgumentTypeError; `echo` writes that value into the config line.  A set
+# store_true flag echoes bare, and a row without `echo` is never echoed.
 OPTIONS = (
     ("--region-length", _every(*_ALL, type=float, default=1000.0), str),
     (
         "--agents",
         {
-            "pl-hist": {"default": DEFAULT_HIST_AGENTS, "help": AGENTS_HELP},
-            "simulate": {"required": True, "help": "one agent count m"},
-            **_every("expected", "sweep", default="2:32", help=AGENTS_HELP),
+            "pl-hist": {"type": _parse_agents, "default": DEFAULT_HIST_AGENTS, "help": AGENTS_HELP},
+            "simulate": {"type": _parse_agents, "required": True, "help": "one agent count m"},
+            **_every("expected", "sweep", type=_parse_agents, default="2:32", help=AGENTS_HELP),
         },
         lambda agents: ",".join(str(m) for m in agents),
     ),
     (
         "--targets",
-        _every("compare", default=DEFAULT_TARGETS),
+        _every("compare", type=_parse_targets, default=DEFAULT_TARGETS),
         lambda targets: ",".join(f"{token}:{m}" for token, m in targets),
     ),
     (
@@ -177,7 +164,9 @@ OPTIONS = (
     ),
     (
         "--speeds",
-        _every(*_SEARCHING, default=DEFAULT_SPEEDS, help="v:mass pmf pairs or bare fixed speeds"),
+        _every(
+            *_SEARCHING, type=_parse_speeds, default=DEFAULT_SPEEDS, help="v:mass pmf pairs or bare fixed speeds"
+        ),
         _speeds_text,
     ),
     ("--trials", _every(*_SAMPLING, type=int, default=1_000_000), str),
@@ -206,24 +195,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> argparse.Namespace:
     """Parse argv into the validated, canonical namespace the command runs on.
 
-    Each option's text is replaced by its canonical value, checked on the way.
-    argparse's own errors exit through SystemExit; every other configuration error
-    raises ValueError.  The region, the speed law and every trial plan the command
-    uses are built here, so their own checks validate the input; `ns.plans` keeps
-    the plans, one per output row, and the command runs them.
+    Each option's text becomes its canonical value through the `type` of its
+    OPTIONS row; bad text is an argparse error, which prints the usage line and
+    exits through SystemExit.  The rest spans options (method tokens, per-command
+    checks, plans) and raises ValueError.  The region, the speed law and every
+    trial plan are built here, so their own checks validate the input; `ns.plans`
+    keeps the plans, one per output row, and the command runs them.
     """
     ns = _build_parser().parse_args(argv)
     region = RegionSpec(ns.region_length)
-    ns.region_length = region.length
     if ns.workers is not None and ns.workers < 1:
         raise ValueError(f"--workers must be positive, got {ns.workers}")
-    if "speeds" in ns:
-        ns.speeds = _parse_speeds(ns.speeds)
-    if "agents" in ns:
-        ns.agents = _parse_agents(ns.agents)
     # each output row's (name, strategy, allocation) and m, every token resolved once
     if "targets" in ns:
-        methods = [(resolve_method(token), m) for token, m in _parse_targets(ns.targets)]
+        methods = [(resolve_method(token), m) for token, m in ns.targets]
         ns.targets = tuple((name, m) for (name, _, _), m in methods)
     if "strategy" in ns:
         method = resolve_method(ns.strategy, getattr(ns, "allocation", None))

@@ -45,15 +45,10 @@ from .simulation import (
 )
 
 __all__ = [
-    "CHUNK_TRIALS",
-    "STRATEGIES",
-    "StrategyKind",
     "StrategySpec",
     "TrialPlan",
     "SummaryStats",
-    "parallel_map",
     "resolve_method",
-    "closed_form",
     "run_trials",
     "sweep_m",
     "compare_strategies",

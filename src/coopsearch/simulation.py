@@ -30,14 +30,6 @@ import numpy as np
 
 from .model import _require_finite_positive, _row_blocks
 
-__all__ = [
-    "one_directional_times",
-    "two_directional_times",
-    "grouped_times",
-    "proportional_times",
-]
-
-
 # rows of at most this many entries take their minimum, and grouped counts its
 # boundaries at or before x, a column at a time
 _SWEEP_COLUMNS = 32

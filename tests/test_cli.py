@@ -1,5 +1,6 @@
 """Command-line interface: validation, provenance echo, regeneration."""
 
+import argparse
 import csv
 import json
 import os
@@ -127,6 +128,33 @@ def test_config_line_is_pinned(call, line, tmp_path):
         echoed = text.splitlines()[1].removeprefix("# config: ")
     assert echoed == line
     assert run_to_file(shlex.split(line)[1:], tmp_path / "b.out") == text
+
+
+ECHO_TEXTS = ["4:32:4", " 2 : 4 ", "1.0", "1:0.5,2:0.5", "grouped_03:6"]
+TYPED_OPTIONS = [
+    (flag, command, kwargs, echo)
+    for flag, takes, echo in cli.OPTIONS
+    for command, kwargs in takes.items()
+    if "type" in kwargs and echo is not None
+]
+
+
+@pytest.mark.parametrize(
+    "flag, command, kwargs, echo", TYPED_OPTIONS, ids=[f"{c}{f}" for f, c, _, _ in TYPED_OPTIONS]
+)
+def test_option_echo_parses_back_to_its_value(flag, command, kwargs, echo):
+    # what the config line writes for an option reads back to the same value;
+    # argparse reads a text default through `type` and keeps any other default as is
+    parse, default = kwargs["type"], kwargs.get("default")
+    values = [] if default is None else [parse(default) if isinstance(default, str) else default]
+    for text in ECHO_TEXTS:
+        try:
+            values.append(parse(text))
+        except (argparse.ArgumentTypeError, ValueError):
+            pass
+    assert values, flag
+    for value in values:
+        assert parse(echo(value)) == value, (flag, value)
 
 
 def test_reproduce_results_config_lines_regenerate(tmp_path):
