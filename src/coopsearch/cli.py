@@ -120,6 +120,17 @@ def _parse_targets(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+def _int_at_least(least: int):
+    """The `type` of an integer option whose value is at least `least`."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value: ..."
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}, expected an integer >= {least}")
+        return value
+
+    return integer
+
+
 def _every(*commands: str, **kwargs) -> dict[str, dict]:
     """The same argparse keywords for each of `commands`."""
     return {command: kwargs for command in commands}
@@ -169,11 +180,11 @@ OPTIONS = (
         ),
         _speeds_text,
     ),
-    ("--trials", _every(*_SAMPLING, type=int, default=1_000_000), str),
-    ("--seed", _every(*_SAMPLING, type=int, default=0), str),
+    ("--trials", _every(*_SAMPLING, type=_int_at_least(1), default=1_000_000), str),
+    ("--seed", _every(*_SAMPLING, type=_int_at_least(0), default=0), str),
     ("--with-analytic", _every("sweep", action="store_true"), str),
     ("--format", _every(*_ALL, choices=("dsv", "structured"), default="dsv"), str),
-    ("--workers", _every(*_ALL, type=int), None),
+    ("--workers", _every(*_ALL, type=_int_at_least(1)), None),
     ("--output", _every(*_ALL), None),
 )
 
@@ -204,8 +215,6 @@ def parse_config(argv=None) -> argparse.Namespace:
     """
     ns = _build_parser().parse_args(argv)
     region = RegionSpec(ns.region_length)
-    if ns.workers is not None and ns.workers < 1:
-        raise ValueError(f"--workers must be positive, got {ns.workers}")
     # each output row's (name, strategy, allocation) and m, every token resolved once
     if "targets" in ns:
         methods = [(resolve_method(token), m) for token, m in ns.targets]
@@ -218,8 +227,6 @@ def parse_config(argv=None) -> argparse.Namespace:
     if ns.command == "pl-hist":
         if any(m < 2 for m in ns.agents):
             raise ValueError(f"pl-hist needs m >= 2, got {ns.agents}")
-        if ns.trials < 1 or ns.seed < 0:
-            raise ValueError(f"pl-hist needs --trials >= 1, --seed >= 0; got {ns.trials}, {ns.seed}")
         return ns
     if ns.command == "simulate" and len(ns.agents) != 1:
         raise ValueError(f"simulate takes a single --agents value, got {ns.agents}")

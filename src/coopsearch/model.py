@@ -37,8 +37,7 @@ class _DrawnStarts:
             raise IndexError(f"random starts are drawn in row order: next row {self._next}, got {rows}")
         if stop - start > len(self._buf):
             self._buf = np.empty((stop - start, self.shape[1]))
-        block = self._buf[: stop - start]
-        self._rng.random(out=block)
+        block = self._rng.random(out=self._buf[: stop - start])
         block *= self._length
         self._next = stop
         return block
@@ -107,24 +106,24 @@ class SpeedDistribution:
         and leaving `rng` in the same state.
 
         Like `choice`, this inverts the normalized cdf at `rng.random` draws, but it
-        draws them in blocks, which C-order fill makes the same stream, and finds
-        each index by counting the cdf edges at or below u, which is
-        `cdf.searchsorted(u, "right")` without the search.
+        draws them a block at a time straight into the output, which C-order fill
+        makes the same stream, and finds each index by counting the cdf edges at or
+        below u, which is `cdf.searchsorted(u, "right")` without the search.
         """
         cdf = self.masses.cumsum()
         cdf /= cdf[-1]
         speeds = self.speeds
+        flat = np.empty(size).reshape(-1)
         small = np.min_scalar_type(len(cdf) - 1)  # narrow counts stream less memory
-        out = np.empty(size)
-        flat = out.reshape(-1)
+        counts = np.empty(min(_BLOCK_ENTRIES, flat.size), small)  # one block's, once per call
         for lo in range(0, flat.size, _BLOCK_ENTRIES):
-            u = rng.random(min(_BLOCK_ENTRIES, flat.size - lo))
-            idx = np.zeros(u.size, small)
-            for edge in cdf[:-1]:  # u < 1 == cdf[-1], so the last edge never counts
+            u = rng.random(out=flat[lo : lo + _BLOCK_ENTRIES])
+            idx = np.greater_equal(u, cdf[0], out=counts[: u.size])
+            for edge in cdf[1:-1]:  # u < 1 == cdf[-1], so the last edge never counts
                 np.add(idx, u >= edge, out=idx)
             # every count is a valid index, so "clip" only skips the bounds check
-            np.take(speeds, idx.astype(np.intp), out=flat[lo : lo + u.size], mode="clip")
-        return out
+            np.take(speeds, idx, out=u, mode="clip")
+        return flat.reshape(size)
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1

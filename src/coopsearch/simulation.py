@@ -10,10 +10,10 @@ at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the grou
 starts at or before x, a column at a time, and so does the sum of a row of at
 most _SUM_SWEEP_COLUMNS speeds.
 
-The grouped kernel sorts each row's starts once with the default sort.  Equal
-starts have more than one sorted order, and the stable one is the contract, so
-only rows with a tie sort again, stably.  It then gathers just the owner group's
-speeds and sums them in sorted order at that group's width.
+The grouped kernel sorts each row's starts with the default sort, and only rows
+with a tie sort again, stably, because the stable order is the contract.  Each
+row's order holds flat indices into the block, so the sorted starts, the owner
+group's first start and its members' speeds come from np.take on flat arrays.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -113,38 +113,31 @@ def _two_directional_block(s, v, x, length, d, out) -> None:
 
 def _grouped_block(group_size, s, v, x, length, _, out) -> None:
     trials, m = s.shape
+    offsets = np.arange(0, trials * m, m)[:, None]  # row r's first entry in the flat block
     order = np.argsort(s, axis=1)
-    srt = np.take_along_axis(s, order, axis=1)
-    # only equal starts have another sorted order, and the stable one is the contract
+    order += offsets
+    srt = np.take(s, order)
+    # only equal starts have another sorted order, and the stable one is the contract;
+    # srt keeps the first: ties differ at most in the sign of 0.0, which _wrap erases
     if (tie := srt[:, 1:] == srt[:, :-1]).any():
         tied = tie.any(axis=1)
-        order[tied] = np.argsort(s[tied], axis=1, kind="stable")
-        # -0.0 and 0.0 tie, so the sorted starts follow the stable order too
-        srt[tied] = np.take_along_axis(s[tied], order[tied], axis=1)
+        order[tied] = np.argsort(s[tied], axis=1, kind="stable") + offsets[tied]
     bounds = srt[:, ::group_size]  # each group's first start
     G = bounds.shape[1]
     # owner group: largest boundary at or before x, wrapping to the last group
-    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS)
-    pos -= 1
+    pos = _reduce_rows(np.add, bounds <= x[:, None], np.empty(trials, np.intp), _SWEEP_COLUMNS) - 1
     pos[pos < 0] = G - 1
-    rows = np.arange(trials)
-    np.subtract(x, bounds[rows, pos], out=out)
+    first = offsets[:, 0] + pos * group_size  # the owner group's first member in `order`
+    np.subtract(x, np.take(srt, first), out=out)
     _wrap(out, length)
-    # the owner group's speeds in sorted order, gathered a member at a time and
-    # summed at that group's own width, so a ragged last group sums its own only
-    flat = order.reshape(-1)
-    rate = np.empty(trials)
+    # the owner group's speeds, summed in sorted order at that group's own width
     ragged = m - (G - 1) * group_size
-    parts = [(rows, group_size)]
+    parts = [(slice(None), group_size)]
     if ragged < group_size:
-        parts = [(rows[pos < G - 1], group_size), (rows[pos == G - 1], ragged)]
+        parts = [(pos < G - 1, group_size), (pos == G - 1, ragged)]
     for r, width in parts:
-        first = r * m + pos[r] * group_size  # the group's first member in `flat`
-        speeds = np.empty((len(r), width))
-        for j in range(width):
-            speeds[:, j] = v[r, flat[first + j]]
-        rate[r] = _reduce_rows(np.add, speeds, np.empty(len(r)), _SUM_SWEEP_COLUMNS)
-    out /= rate
+        speeds = np.take(v, np.take(order, first[r, None] + np.arange(width)))
+        out[r] /= _reduce_rows(np.add, speeds, np.empty(len(speeds)), _SUM_SWEEP_COLUMNS)
 
 
 def _proportional_block(_, v, x, length, d, out) -> None:

@@ -35,6 +35,14 @@ def config_line_of(text: str) -> list[str]:
     raise AssertionError("no config line found")
 
 
+# bad count and seed text is an argparse error, so its usage line comes first
+USAGE_ERRORS = [
+    [command, *agents, flag, value]
+    for command, agents in (("pl-hist", []), ("simulate", ["--agents", "3"]))
+    for flag, value in (("--workers", "0"), ("--trials", "0"), ("--seed", "-1"))
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -78,13 +86,16 @@ def config_line_of(text: str) -> list[str]:
         ["simulate", "--agents", "3", "--strategy", "grouped"],
         ["simulate", "--agents", "3", "--strategy", "grouped-x"],
         ["compare", "--targets", "grouped:4"],
-    ],
+    ]
+    + USAGE_ERRORS,
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     out = tmp_path / "never.csv"
     rc = main(argv + ["--output", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "usage:" in err or argv not in USAGE_ERRORS
     assert not out.exists()
 
 

@@ -414,19 +414,29 @@ def tied_batch(m, seed):
 @pytest.mark.parametrize("m", AGENT_COUNTS)
 def test_grouped_kernel_bit_identical(m):
     starts, speeds, x = tied_batch(m, seed=400 + m)
+    x[0:2] = -0.0  # x[2:4] stay 0.0
     fixed = np.broadcast_to(np.arange(m) * (L / m), starts.shape)
     fixed_speeds = np.broadcast_to(np.resize([0.1, 0.2, 0.3, 0.7], m), starts.shape)
     # a broadcast row with ties must take the stable order too
     tied_row = np.broadcast_to(np.resize([2.0, 0.0, 2.0, 1.0, 0.0], m) * (L / 3), starts.shape)
+    # -0.0 and 0.0 tie, and either may be a group's first start
+    zero_row = np.broadcast_to(np.resize([-0.0, 0.0, L / 2, 0.0, -0.0], m), starts.shape)
+    # a Fortran-ordered batch is read in its logical row order
+    f_starts, f_speeds = np.asfortranarray(starts), np.asfortranarray(speeds)
+
+    def same_bits(got, want):
+        return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     # group sizes on both sides of the width-8 switch in the sum, ragged or not
     for n in range(1, min(m, 12) + 1):
-        got = grouped_times(starts, speeds, x, L, n)
-        assert np.array_equal(got, grouped_oracle(starts, speeds, x, L, n)), n
-        for row in (fixed, tied_row):
+        want = grouped_oracle(starts, speeds, x, L, n)
+        assert same_bits(grouped_times(starts, speeds, x, L, n), want), n
+        assert same_bits(grouped_times(f_starts, f_speeds, x, L, n), want), n
+        for row in (fixed, tied_row, zero_row):
             got = grouped_times(row, fixed_speeds, x, L, n)
-            assert np.array_equal(got, grouped_oracle(row, fixed_speeds, x, L, n)), n
+            assert same_bits(got, grouped_oracle(row, fixed_speeds, x, L, n)), n
             got = grouped_times(row, speeds, x, L, n)
-            assert np.array_equal(got, grouped_oracle(row, speeds, x, L, n)), n
+            assert same_bits(got, grouped_oracle(row, speeds, x, L, n)), n
 
 
 @pytest.mark.parametrize("m", [2, 7, 256])
