@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import _DrawnStarts, _require_positive_int, _row_blocks
+from .model import _DrawnStarts, _require_finite_positive, _require_positive_int, _row_blocks
 
 __all__ = [
     "length_pmf_equal",
@@ -25,6 +25,7 @@ def _bin_count(region_length: float) -> int:
         raise ValueError(
             f"gap histogram needs 0 < L <= {_MAX_BINS} (one bin per unit), got {region_length!r}"
         )
+    _require_finite_positive(region_length, "region length")
     return math.ceil(region_length)
 
 

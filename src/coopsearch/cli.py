@@ -197,6 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {name: sub.add_parser(name, help=cmd.__doc__) for name, cmd in _COMMANDS.items()}
+    for subparser in subparsers.values():  # parse_config reports a failed check through it
+        subparser.set_defaults(error=subparser.error)
     for flag, takes, _ in OPTIONS:
         for command, kwargs in takes.items():
             subparsers[command].add_argument(flag, **kwargs)
@@ -207,46 +209,49 @@ def parse_config(argv=None) -> argparse.Namespace:
     """Parse argv into the validated, canonical namespace the command runs on.
 
     Each option's text becomes its canonical value through the `type` of its
-    OPTIONS row; bad text is an argparse error, which prints the usage line and
-    exits through SystemExit.  The rest spans options (method tokens, per-command
-    checks, plans) and raises ValueError.  The region, the speed law and every
-    trial plan are built here, so their own checks validate the input; `ns.plans`
+    OPTIONS row.  The region, the method tokens, the checks one command makes and
+    every trial plan are built or run here, so the library's own checks validate
+    the input.  Any bad configuration exits through argparse: the command's usage
+    line, then `error:` and the message, then SystemExit with code 2.  `ns.plans`
     keeps the plans, one per output row, and the command runs them.
     """
     ns = _build_parser().parse_args(argv)
-    region = RegionSpec(ns.region_length)
-    # each output row's (name, strategy, allocation) and m, every token resolved once
-    if "targets" in ns:
-        methods = [(resolve_method(token), m) for token, m in ns.targets]
-        ns.targets = tuple((name, m) for (name, _, _), m in methods)
-    if "strategy" in ns:
-        method = resolve_method(ns.strategy, getattr(ns, "allocation", None))
-        ns.strategy, strategy, ns.allocation = method
-        methods = [(method, m) for m in ns.agents]
+    try:
+        region = RegionSpec(ns.region_length)
+        # each output row's (name, strategy, allocation) and m, every token resolved once
+        if "targets" in ns:
+            methods = [(resolve_method(token), m) for token, m in ns.targets]
+            ns.targets = tuple((name, m) for (name, _, _), m in methods)
+        if "strategy" in ns:
+            method = resolve_method(ns.strategy, getattr(ns, "allocation", None))
+            ns.strategy, strategy, ns.allocation = method
+            methods = [(method, m) for m in ns.agents]
 
-    if ns.command == "pl-hist":
-        if any(m < 2 for m in ns.agents):
-            raise ValueError(f"pl-hist needs m >= 2, got {ns.agents}")
-        return ns
-    if ns.command == "simulate" and len(ns.agents) != 1:
-        raise ValueError(f"simulate takes a single --agents value, got {ns.agents}")
-    if ns.command == "sweep" and any(b <= a for a, b in zip(ns.agents, ns.agents[1:])):
-        raise ValueError(f"agent counts must be strictly increasing, got {ns.agents}")
-    if ns.command == "expected":
-        if not isinstance(ns.speeds, SpeedDistribution):
-            if len(ns.speeds) != 1:
-                raise ValueError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
-            ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
-        if ns.allocation not in STRATEGIES[strategy.kind].closed_forms:
-            raise ValueError(
-                f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
-            )
-    # the plans the command runs, one per output row; building them checks them
-    trials, seed = getattr(ns, "trials", 1), getattr(ns, "seed", 0)
-    ns.plans = [
-        TrialPlan(region, m, strategy, allocation, ns.speeds, trials, seed)
-        for (_, strategy, allocation), m in methods
-    ]
+        if ns.command == "pl-hist":
+            if any(m < 2 for m in ns.agents):
+                raise ValueError(f"pl-hist needs m >= 2, got {ns.agents}")
+            return ns
+        if ns.command == "simulate" and len(ns.agents) != 1:
+            raise ValueError(f"simulate takes a single --agents value, got {ns.agents}")
+        if ns.command == "sweep" and any(b <= a for a, b in zip(ns.agents, ns.agents[1:])):
+            raise ValueError(f"agent counts must be strictly increasing, got {ns.agents}")
+        if ns.command == "expected":
+            if not isinstance(ns.speeds, SpeedDistribution):
+                if len(ns.speeds) != 1:
+                    raise ValueError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
+                ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
+            if ns.allocation not in STRATEGIES[strategy.kind].closed_forms:
+                raise ValueError(
+                    f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
+                )
+        # the plans the command runs, one per output row; building them checks them
+        trials, seed = getattr(ns, "trials", 1), getattr(ns, "seed", 0)
+        ns.plans = [
+            TrialPlan(region, m, strategy, allocation, ns.speeds, trials, seed)
+            for (_, strategy, allocation), m in methods
+        ]
+    except ValueError as e:
+        ns.error(str(e))
     return ns
 
 
@@ -320,9 +325,6 @@ def main(argv=None) -> int:
         ns = parse_config(argv)
     except SystemExit as e:  # argparse has printed its usage error, or --help
         return e.code
-    except ValueError as e:  # a configuration error
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     try:
         columns, rows = _COMMANDS[ns.command](ns)
         text = OutputRecord(columns, tuple(rows), _config_line(ns)).render(ns.format)

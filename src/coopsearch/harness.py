@@ -273,14 +273,12 @@ def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _fixed_starts(plan: TrialPlan) -> np.ndarray | None:
+def _fixed_starts(plan: TrialPlan) -> np.ndarray:
     L = plan.region.length
     m = plan.num_agents
     if plan.allocation == "equal":
         return np.arange(m) * (L / m)
-    if plan.allocation == "semi-equal":
-        return np.array(semi_equal_starts(L, m))
-    return None  # random draws per trial; proportional needs no starts
+    return np.array(semi_equal_starts(L, m))
 
 
 def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float, float, float, float]:

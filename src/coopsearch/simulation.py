@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import _require_finite_positive, _row_blocks
+from .model import _require_finite_positive, _require_positive_int, _row_blocks
 
 # rows of at most this many entries take their minimum, and grouped counts its
 # boundaries at or before x, a column at a time
@@ -179,7 +179,8 @@ def grouped_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
-    if not 1 <= group_size <= speeds.shape[-1]:
+    _require_positive_int(group_size, "group size")
+    if group_size > speeds.shape[-1]:
         raise ValueError(f"group size {group_size} out of range for {speeds.shape[-1]} agents")
     return _run_blocks(partial(_grouped_block, group_size), starts, speeds, x, length)
 

@@ -182,6 +182,15 @@ def test_histogram_bin_budget():
             estimate_length_pmf(length, 2, 10, 0)
 
 
+@pytest.mark.parametrize("length", [True, np.True_], ids=["True", "np.True_"])
+def test_histogram_length_is_not_a_bool(length):
+    # a bool passes the bin budget's range check as L = 1, so the length rule rejects it
+    with pytest.raises(ValueError, match="region length"):
+        spacing_pmf_oracle(length, 3)
+    with pytest.raises(ValueError, match="region length"):
+        estimate_length_pmf(length, 3, 10, 0)
+
+
 @pytest.mark.parametrize("count", [0, 2.5, True])
 def test_estimate_length_pmf_counts_are_positive_integers(count):
     with pytest.raises(ValueError, match="positive integer"):

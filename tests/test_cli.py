@@ -35,7 +35,7 @@ def config_line_of(text: str) -> list[str]:
     raise AssertionError("no config line found")
 
 
-# bad count and seed text is an argparse error, so its usage line comes first
+# bad count and seed text, which the option's own `type` rejects
 USAGE_ERRORS = [
     [command, *agents, flag, value]
     for command, agents in (("pl-hist", []), ("simulate", ["--agents", "3"]))
@@ -87,16 +87,33 @@ USAGE_ERRORS = [
         ["simulate", "--agents", "3", "--strategy", "grouped-x"],
         ["compare", "--targets", "grouped:4"],
     ]
-    + USAGE_ERRORS,
+    + USAGE_ERRORS
+    + [
+        # out-of-range numbers that the region, the plan or the speed law rejects
+        ["simulate", "--agents", "0"],
+        ["expected", "--agents", "0"],
+        ["expected", "--agents", "3", "--speeds", "0"],
+        ["simulate", "--agents", "3", "--speeds", "nan"],
+        ["simulate", "--agents", "3", "--region-length", "-1"],
+        ["pl-hist", "--agents", "2", "--region-length", "nan"],
+    ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
+    # every configuration error is the command's usage error, whichever check fails
     out = tmp_path / "never.csv"
     rc = main(argv + ["--output", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "usage:" in err or argv not in USAGE_ERRORS
+    assert "usage:" in err
     assert not out.exists()
+
+
+def test_parse_config_exits_on_a_failed_check():
+    # a check after parsing exits as argparse does; no ValueError reaches the caller
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["simulate", "--agents", "3", "--strategy", "equal", "--allocation", "random"])
+    assert exc.value.code == 2
 
 
 # one call per command and the exact config line it echoes; a new option order fails here

@@ -239,6 +239,13 @@ def test_kernels_reject_bad_region_length(length):
             kernel()
 
 
+@pytest.mark.parametrize("group_size", [True, np.True_, 2.0, 0], ids=["True", "np.True_", "2.0", "0"])
+def test_grouped_rejects_bad_group_size(group_size):
+    # a group size is a count: a bool or a float is no more 1 or 2 than 0 is
+    with pytest.raises(ValueError, match="group size"):
+        grouped_times(np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3), L, group_size)
+
+
 def test_simulations_are_pure():
     starts, speeds = [0, 400, 700], [1, 2, 3]
     a = oracles.grouped(starts, speeds, 650, L, 2)
