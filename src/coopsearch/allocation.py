@@ -36,6 +36,7 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
     increasing order, until m points exist.  All points are exact binary fractions of L.
     """
     _require_positive_int(m, "agent count")
+    _require_finite_positive(length, "region length")
     starts = [0.0]
     level = 1
     while len(starts) < m:
@@ -51,6 +52,7 @@ def semi_equal_starts(length: float, m: int) -> list[float]:
 def length_pmf_equal(region_length: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lengths, masses) of the equal division: every subregion is L/m."""
     _require_positive_int(m, "agent count")
+    _require_finite_positive(region_length, "region length")
     return np.array([region_length / m]), np.array([1.0])
 
 
@@ -61,6 +63,7 @@ def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.
     at L/2^(n+1); at m = 2^n everything is equal.
     """
     _require_positive_int(m, "agent count")
+    _require_finite_positive(region_length, "region length")
     n = m.bit_length() - 1  # 2^n <= m < 2^(n+1)
     if m == 2**n:
         return np.array([region_length / 2**n]), np.array([1.0])

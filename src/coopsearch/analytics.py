@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import SpeedDistribution, _require_positive_int
+from .model import SpeedDistribution, _require_finite_positive, _require_positive_int
 
 __all__ = [
     "mean_inverse_speed",
@@ -47,6 +47,7 @@ def _factorized_mean(
     m: int, region_length: float, speed_pmf: SpeedDistribution, length_second_moment: float
 ) -> float:
     """m/(2L) * E(1/v) * E(l^2), evaluated left to right, for E(l^2) and the mean in range."""
+    _require_finite_positive(region_length, "region length")
     _in_range(length_second_moment, "E(l^2)")
     mean = m / (2.0 * region_length) * mean_inverse_speed(speed_pmf) * length_second_moment
     return _in_range(mean, "the expected time")
@@ -119,4 +120,5 @@ def expected_time_proportional_resampled(
     region_length: float, speed_pmf: SpeedDistribution, m: int
 ) -> float:
     """Mean of L / (2 sum(v)) when the m speeds are redrawn from the law each trial."""
+    _require_finite_positive(region_length, "region length")
     return _in_range(region_length / 2.0 * speed_sum_inverse_mean(speed_pmf, m), "the expected time")

@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .allocation import estimate_length_pmf, spacing_pmf_oracle
 from .harness import (
-    STRATEGIES,
     TrialPlan,
+    _require_increasing,
     closed_form,
     compare_strategies,
     parallel_map,
@@ -208,14 +208,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> argparse.Namespace:
     """Parse argv into the validated, canonical namespace the command runs on.
 
-    Each option's text becomes its canonical value through the `type` of its
-    OPTIONS row.  The region, the method tokens, the checks one command makes and
-    every trial plan are built or run here, so the library's own checks validate
-    the input.  Any bad configuration exits through argparse: the command's usage
-    line, then `error:` and the message, then SystemExit with code 2.  `ns.plans`
-    keeps the plans, one per output row, and the command runs them.
+    The one configuration phase.  Option text becomes its canonical value through its
+    OPTIONS row's `type`; the region, method tokens, command checks, trial plans, printed
+    closed forms and exact gap laws are built here, so the library's own rules check them.
+    Any bad configuration, an argument the command does not take included, exits through
+    the command's argparse `error`: its usage line, `error:` and the message, SystemExit 2.
+    `ns.plans` (one per output row), `ns.closed_forms` and `ns.oracles` keep what is built.
     """
-    ns = _build_parser().parse_args(argv)
+    ns, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        ns.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         region = RegionSpec(ns.region_length)
         # each output row's (name, strategy, allocation) and m, every token resolved once
@@ -227,29 +229,28 @@ def parse_config(argv=None) -> argparse.Namespace:
             ns.strategy, strategy, ns.allocation = method
             methods = [(method, m) for m in ns.agents]
 
-        if ns.command == "pl-hist":
-            if any(m < 2 for m in ns.agents):
-                raise ValueError(f"pl-hist needs m >= 2, got {ns.agents}")
+        if ns.command == "pl-hist":  # each m's exact gap law; building it checks m and L
+            ns.oracles = [spacing_pmf_oracle(ns.region_length, m) for m in ns.agents]
             return ns
         if ns.command == "simulate" and len(ns.agents) != 1:
             raise ValueError(f"simulate takes a single --agents value, got {ns.agents}")
-        if ns.command == "sweep" and any(b <= a for a, b in zip(ns.agents, ns.agents[1:])):
-            raise ValueError(f"agent counts must be strictly increasing, got {ns.agents}")
-        if ns.command == "expected":
-            if not isinstance(ns.speeds, SpeedDistribution):
-                if len(ns.speeds) != 1:
-                    raise ValueError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
-                ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
-            if ns.allocation not in STRATEGIES[strategy.kind].closed_forms:
-                raise ValueError(
-                    f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it"
-                )
+        if ns.command == "sweep":
+            _require_increasing(ns.agents)
+        if ns.command == "expected" and not isinstance(ns.speeds, SpeedDistribution):
+            if len(ns.speeds) != 1:
+                raise ValueError("expected needs a speed pmf (v:mass pairs) or a single shared speed")
+            ns.speeds = SpeedDistribution.point_mass(ns.speeds[0])
         # the plans the command runs, one per output row; building them checks them
         trials, seed = getattr(ns, "trials", 1), getattr(ns, "seed", 0)
         ns.plans = [
             TrialPlan(region, m, strategy, allocation, ns.speeds, trials, seed)
             for (_, strategy, allocation), m in methods
         ]
+        # the closed forms the command prints, so one out of float range is a configuration error
+        if ns.command == "expected" or getattr(ns, "with_analytic", False):
+            ns.closed_forms = [closed_form(plan) for plan in ns.plans]
+        if ns.command == "expected" and None in ns.closed_forms:
+            raise ValueError(f"no closed form for strategy {ns.strategy!r}; use `coopsearch simulate` for it")
     except ValueError as e:
         ns.error(str(e))
     return ns
@@ -276,15 +277,15 @@ def cmd_pl_hist(ns: argparse.Namespace) -> Table:
         return estimate_length_pmf(ns.region_length, m, ns.trials, seed)
 
     rows = []
-    for m, est in zip(ns.agents, parallel_map(estimate, ns.agents, ns.workers, lambda m: m)):
-        oracle = spacing_pmf_oracle(ns.region_length, m)
+    estimates = parallel_map(estimate, ns.agents, ns.workers, lambda m: m)
+    for m, est, oracle in zip(ns.agents, estimates, ns.oracles):
         rows += [(m, k, float(e), float(o)) for k, (e, o) in enumerate(zip(est, oracle))]
     return ("m", "bin", "estimated_mass", "oracle_mass"), rows
 
 
 def cmd_expected(ns: argparse.Namespace) -> Table:
     """closed-form expected times, no simulation"""
-    rows = [(ns.strategy, plan.num_agents, closed_form(plan)) for plan in ns.plans]
+    rows = [(ns.strategy, plan.num_agents, value) for plan, value in zip(ns.plans, ns.closed_forms)]
     return ("strategy", "m", "expected_time"), rows
 
 
@@ -297,10 +298,8 @@ def cmd_simulate(ns: argparse.Namespace) -> Table:
 
 def cmd_sweep(ns: argparse.Namespace) -> Table:
     """Monte-Carlo sweep over agent counts"""
-    # the closed forms come first, so one that cannot be evaluated fails before any simulation
-    analytic = ns.with_analytic
-    extra = [(closed_form(plan),) if analytic else () for plan in ns.plans]
-    columns = STAT_COLUMNS + (("analytic",) if analytic else ())
+    extra = [(value,) for value in ns.closed_forms] if ns.with_analytic else [()] * len(ns.plans)
+    columns = STAT_COLUMNS + (("analytic",) if ns.with_analytic else ())
     swept = sweep_m(ns.plans, workers=ns.workers)
     return columns, [_stat_row(ns.strategy, m, st, ns.seed) + e for (m, st), e in zip(swept, extra)]
 

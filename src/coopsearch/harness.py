@@ -134,6 +134,12 @@ def _require_runs_on(strategy: StrategySpec, allocation: str) -> None:
         )
 
 
+def _require_increasing(ms: Sequence[int]) -> None:
+    """The one rule for a sweep's agent counts: at least one, and strictly increasing."""
+    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"agent counts must be non-empty and strictly increasing, got {list(ms)}")
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Everything needed to reproduce one Monte-Carlo estimate.
@@ -366,6 +372,5 @@ def sweep_m(plans: Sequence[TrialPlan], workers: int | None = None) -> tuple[tup
     """(m, stats) for each plan, its agent counts strictly increasing; per-m seed
     streams keep the points independent and stable."""
     ms = [plan.num_agents for plan in plans]
-    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"agent counts must be non-empty and strictly increasing, got {ms}")
+    _require_increasing(ms)
     return tuple(zip(ms, compare_strategies(plans, workers)))

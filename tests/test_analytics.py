@@ -175,6 +175,22 @@ def test_counts_are_positive_integers(count):
         expected_time_proportional_resampled(L, MIXED, count)
 
 
+@pytest.mark.parametrize("length", [True, np.True_, math.nan, math.inf, 0, -1])
+def test_region_lengths_take_the_length_rule(length):
+    # a bool once ran as L = 1: expected_time_random_starts(True, 3, UNIT) returned 0.25
+    calls = [
+        lambda: expected_time_independent(UNIT, length_pmf_equal(L, 3), 3, length),
+        lambda: expected_time_random_starts(length, 3, UNIT),
+        lambda: expected_time_proportional_resampled(length, UNIT, 3),
+        lambda: length_pmf_equal(length, 3),
+        lambda: length_pmf_semi_equal(length, 3),
+        lambda: semi_equal_starts(length, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="region length"):
+            call()
+
+
 @pytest.mark.parametrize("atoms", [1, 3, 5, 10])
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_enumeration_matches_recursive_oracle(atoms, n, monkeypatch):

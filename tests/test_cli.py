@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopsearch import cli
+from coopsearch import analytics, cli
 from coopsearch.cli import main, parse_config
 from coopsearch.harness import TrialPlan
 
@@ -69,7 +69,7 @@ USAGE_ERRORS = [
         ["pl-hist", "--agents", "2", "--region-length", "inf"],
         ["simulate", "--agents", "3", "--region-length", "inf"],
         ["simulate", "--agents", "3", "--speeds", "inf"],
-        # options a command does not take are argparse errors, which exit 2 as well
+        # options a command does not take are its parser's errors, which exit 2 as well
         ["simulate", "--agents", "3", "--agents-range", "2:4"],
         ["expected", "--agents", "3", "--trials", "10"],
         ["pl-hist", "--speeds", "1.0"],
@@ -96,6 +96,8 @@ USAGE_ERRORS = [
         ["simulate", "--agents", "3", "--speeds", "nan"],
         ["simulate", "--agents", "3", "--region-length", "-1"],
         ["pl-hist", "--agents", "2", "--region-length", "nan"],
+        # a stray positional is an argument the command does not take
+        ["simulate", "--agents", "3", "stray"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
@@ -105,7 +107,7 @@ def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "usage:" in err
+    assert f"usage: coopsearch {argv[0]}" in err
     assert not out.exists()
 
 
@@ -325,39 +327,44 @@ def test_expected_equal_closed_form(tmp_path):
         ("proportional", "1e-320"),  # the mean itself is subnormal
     ],
 )
-def test_closed_form_out_of_float_range_exits_1(strategy, length, capsys):
+def test_closed_form_out_of_float_range_exits_2(strategy, length, capsys):
+    # the arguments alone decide it, so it is a configuration error
     argv = ["expected", "--agents", "2", "--speeds", "1.0", "--strategy", strategy, "--region-length", length]
-    assert main(argv) == 1
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert "usage: coopsearch expected" in captured.err and "error:" in captured.err
     assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
 
 
-def test_huge_closed_form_enumeration_exits_1(capsys, monkeypatch):
+def test_huge_closed_form_enumeration_exits_2(capsys, monkeypatch):
     # 10 atoms at m=32 is C(41, 9) = 350,343,565 terms; refused before enumerating
     speeds = ",".join(f"{1 + k / 10}:0.1" for k in range(10))
     argv = ["expected", "--agents", "32", "--strategy", "proportional", "--speeds", speeds]
-    assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage: coopsearch expected" in err and "error:" in err
     # sweep --with-analytic evaluates its closed forms before it simulates anything
     monkeypatch.setattr(cli, "sweep_m", lambda *args, **kwargs: pytest.fail("simulated first"))
     argv = ["sweep", "--agents", "4,32", "--strategy", "proportional", "--with-analytic"]
-    assert main(argv + ["--speeds", speeds] + FAST) == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(argv + ["--speeds", speeds] + FAST) == 2
+    err = capsys.readouterr().err
+    assert "usage: coopsearch sweep" in err and "error:" in err
 
 
 @pytest.mark.parametrize("length", ["1e300", "1e13", "1000001"])
-def test_histogram_past_bin_budget_exits_1(length, capsys):
+def test_histogram_past_bin_budget_exits_2(length, capsys):
     tracemalloc.start()
     try:
         rc = main(["pl-hist", "--agents", "2", "--trials", "10", "--region-length", length])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: coopsearch pl-hist" in captured.err and "error:" in captured.err
+    assert "Traceback" not in captured.err
     assert peak < 1_000_000  # rejected before any allocation: 10**6 bins take 8 MB
 
 
@@ -371,6 +378,32 @@ def test_times_whose_squares_leave_float_range_exit_1(capsys, extreme):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "out of range" in captured.err
+
+
+def test_expected_evaluates_each_closed_form_once(monkeypatch, capsys):
+    # parse_config evaluates the closed forms, and the command prints those values
+    calls = []
+    inner = analytics.speed_sum_inverse_mean
+    monkeypatch.setattr(analytics, "speed_sum_inverse_mean", lambda *args: calls.append(args) or inner(*args))
+    assert main(["expected", "--agents", "2:32", "--strategy", "proportional"]) == 0
+    assert len(calls) == 31
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expected", "--agents", "2:6", "--strategy", "proportional"],
+        ["sweep", "--agents", "2,3", "--strategy", "equal", "--with-analytic", *FAST],
+        ["pl-hist", "--agents", "2,3", *FAST],
+    ],
+    ids=["expected", "sweep", "pl-hist"],
+)
+def test_commands_print_what_parse_config_built(argv, monkeypatch):
+    ns = parse_config(argv + ["--workers", "1"])
+    monkeypatch.setattr(cli, "closed_form", lambda plan: pytest.fail("closed form in the command"))
+    monkeypatch.setattr(cli, "spacing_pmf_oracle", lambda *args: pytest.fail("gap law in the command"))
+    columns, rows = cli._COMMANDS[ns.command](ns)
+    assert len(rows) > 0 and all(len(row) == len(columns) for row in rows)
 
 
 def test_expected_rejects_simulation_only_strategy(capsys):
