@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import _DrawnStarts, _require_finite_positive, _require_positive_int, _row_blocks
+from .model import _drawn_starts, _require_finite_positive, _require_positive_int, _row_blocks
 
 __all__ = [
     "length_pmf_equal",
@@ -85,7 +85,7 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.n
     _require_positive_int(m, "agent count")
     _require_positive_int(trials, "trials")
     nbins = _bin_count(region_length)
-    starts = _DrawnStarts(np.random.default_rng(seed), region_length, (trials, m))
+    starts = _drawn_starts(np.random.default_rng(seed), region_length, (trials, m))
     counts = np.zeros(nbins, dtype=np.int64)
     for rows in _row_blocks(trials, m):
         s = starts[rows]

@@ -9,8 +9,10 @@ Reproducibility contract: results are bit-identical for identical plans at any w
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
 default_rng(SeedSequence(entropy=base_seed, spawn_key=(stream, k))), and partial sums
 are folded in chunk order with compensated summation.  A chunk's stream is its random
-starts, sampled speeds and solution positions, in that order; the kernel loop draws the
-starts a row block at a time, and a generator advanced past them draws the rest.
+starts, sampled speeds and solution positions, in that order.  The kernel loop reads
+the starts and the speeds as drawn rows, so no (trials, m) array is built: the starts
+from the chunk's generator and the speeds from one advanced past them; the solution
+positions, drawn before the kernel runs, from one advanced past both.
 
 Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
 thread, largest plan first; each plan's chunks run in order on its thread.  A single
@@ -35,7 +37,7 @@ from .analytics import (
     expected_time_random_starts,
 )
 from .model import (
-    RegionSpec, SpeedDistribution, _DrawnStarts, _require_finite_positive, _require_positive_int
+    RegionSpec, SpeedDistribution, _drawn_starts, _require_finite_positive, _require_positive_int
 )
 from .simulation import (
     grouped_times,
@@ -274,9 +276,10 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None, size: Calla
         return [futures[i].result() for i in range(len(items))]
 
 
-def _chunk_rng(plan: TrialPlan, chunk_index: int) -> np.random.Generator:
+def _chunk_rng(plan: TrialPlan, chunk_index: int, skip: int = 0) -> np.random.Generator:
+    """Chunk `chunk_index`'s generator, advanced past the first `skip` draws of its stream."""
     ss = np.random.SeedSequence(entropy=plan.base_seed, spawn_key=(plan.num_agents, chunk_index))
-    return np.random.default_rng(ss)
+    return np.random.Generator(np.random.PCG64(ss).advance(skip))  # default_rng(ss), advanced
 
 
 def _fixed_starts(plan: TrialPlan) -> np.ndarray:
@@ -288,15 +291,12 @@ def _fixed_starts(plan: TrialPlan) -> np.ndarray:
 
 
 def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float, float, float, float]:
-    rng = _chunk_rng(plan, chunk_index)
     L = plan.region.length
     m = plan.num_agents
-
+    drawn = 0
     if plan.allocation == "random":
-        starts = _DrawnStarts(rng, L, (count, m))
-        # speeds and x follow the starts: the chunk's generator anew, advanced past them
-        rng = _chunk_rng(plan, chunk_index)
-        rng.bit_generator.advance(count * m)
+        starts = _drawn_starts(_chunk_rng(plan, chunk_index), L, (count, m))
+        drawn += count * m
     elif plan.allocation == "proportional":
         starts = None
     else:
@@ -304,12 +304,13 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
 
     law = plan.speeds
     if isinstance(law, SpeedDistribution) and not law.is_degenerate():
-        speeds = law.sample(rng, (count, m))
+        speeds = law.sample(_chunk_rng(plan, chunk_index, drawn), (count, m))
+        drawn += count * m
     else:  # one speed for every agent, or one per agent: a row all trials share
         row = law.speeds if isinstance(law, SpeedDistribution) else np.array(law, dtype=float)
         speeds = np.broadcast_to(row, (count, m))
 
-    x = rng.uniform(0.0, L, count)
+    x = _chunk_rng(plan, chunk_index, drawn).uniform(0.0, L, count)
 
     times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
     with np.errstate(over="ignore"):  # run_trials rejects squares out of range

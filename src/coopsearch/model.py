@@ -1,5 +1,5 @@
 """Core value types: the circular region and the agents' speed law, and the row blocks
-that the speed draw, the random starts and the batch kernels share."""
+and drawn rows that the random starts, the speed draw and the batch kernels share."""
 
 from __future__ import annotations
 
@@ -10,9 +10,13 @@ import numpy as np
 
 __all__ = ["RegionSpec", "SpeedDistribution"]
 
-# entries per block in the speed draw, the batch kernels and the gap histogram:
+# entries per block in the drawn rows, the batch kernels and the gap histogram:
 # 512 KB per float64 temporary, which keeps a block's working set in cache
 _BLOCK_ENTRIES = 1 << 16
+# kernel row blocks per batch of sampled speeds, about 2**19 entries: with one block
+# per batch a 32768-trial chunk of grouped-3 at m = 12 took 40% longer, from numpy's
+# per-call costs, while 8 blocks ran level with a whole-chunk draw at m <= 32
+_SPEED_BATCH_BLOCKS = 8
 
 
 def _row_blocks(trials: int, m: int):
@@ -22,25 +26,40 @@ def _row_blocks(trials: int, m: int):
         yield slice(lo, min(lo + step, trials))
 
 
-class _DrawnStarts:
-    """Uniform random starts, `rng.uniform(0, L, shape)` bit for bit, drawn a row block
-    at a time as a reader asks for them, in row order, into one reused buffer.  numpy's
-    uniform(0, L) is 0.0 + L * u, the same bits as `rng.random` scaled by L."""
+class _DrawnRows:
+    """The rows of the one-shot draw `fill(rng.random(shape))`, drawn in row order as a
+    reader asks for them, at least `batch_rows` rows at a time, into one reused buffer.
+    `rng.random` fills in C order, so a batch drawn one _BLOCK_ENTRIES piece at a time,
+    each piece mapped in place by `fill`, is the one-shot stream.  A read is a view of
+    the buffer, valid until the next read."""
 
-    def __init__(self, rng: np.random.Generator, length: float, shape: tuple[int, int]) -> None:
-        self.shape, self._rng, self._length = shape, rng, length
-        self._next, self._buf = 0, np.empty((0, shape[1]))
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, ...], fill, batch_rows: int = 1) -> None:
+        self.shape, self._rng, self._fill, self._batch_rows = shape, rng, fill, batch_rows
+        self._next = self._lo = self._hi = 0  # the next row to read; rows [lo, hi) are in the buffer
+        self._buf = np.empty((0, *shape[1:]))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])
         if (start, step) != (self._next, 1):
-            raise IndexError(f"random starts are drawn in row order: next row {self._next}, got {rows}")
-        if stop - start > len(self._buf):
-            self._buf = np.empty((stop - start, self.shape[1]))
-        block = self._rng.random(out=self._buf[: stop - start])
-        block *= self._length
+            raise IndexError(f"rows are drawn in row order: next row {self._next}, got {rows}")
         self._next = stop
-        return block
+        if stop > self._hi:
+            hi = min(self.shape[0], max(stop, start + self._batch_rows))
+            kept = self._buf[start - self._lo : self._hi - self._lo]
+            if hi - start > len(self._buf):
+                self._buf = np.empty((hi - start, *self.shape[1:]))
+            self._buf[: len(kept)] = kept
+            flat = self._buf[len(kept) : hi - start].reshape(-1)
+            for lo in range(0, flat.size, _BLOCK_ENTRIES):
+                self._fill(self._rng.random(out=flat[lo : lo + _BLOCK_ENTRIES]))
+            self._lo, self._hi = start, hi
+        return self._buf[start - self._lo : stop - self._lo]
+
+
+def _drawn_starts(rng: np.random.Generator, length: float, shape: tuple[int, int]) -> _DrawnRows:
+    """Uniform random starts, `rng.uniform(0, length, shape)` bit for bit, a row block
+    at a time: numpy's uniform(0, L) is 0.0 + L * u, the same bits as L * u."""
+    return _DrawnRows(rng, shape, lambda u: np.multiply(u, length, out=u))
 
 
 def _require_positive_int(value, name: str) -> None:
@@ -101,29 +120,31 @@ class SpeedDistribution:
     def masses(self) -> np.ndarray:
         return np.array([p for _, p in self.atoms], dtype=float)
 
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        """I.i.d. speeds, equal bit for bit to `rng.choice(self.speeds, size, p=self.masses)`
-        and leaving `rng` in the same state.
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> _DrawnRows:
+        """I.i.d. speeds as drawn rows: read in row order, they are bit for bit
+        `rng.choice(self.speeds, size, p=self.masses)`, and after the last row `rng` is
+        where `choice` leaves it.
 
-        Like `choice`, this inverts the normalized cdf at `rng.random` draws, but it
-        draws them a block at a time straight into the output, which C-order fill
-        makes the same stream, and finds each index by counting the cdf edges at or
-        below u, which is `cdf.searchsorted(u, "right")` without the search.
+        Like `choice`, this inverts the normalized cdf at `rng.random` draws, and it
+        finds each index by counting the cdf edges at or below u, which is
+        `cdf.searchsorted(u, "right")` without the search.
         """
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
         cdf = self.masses.cumsum()
         cdf /= cdf[-1]
         speeds = self.speeds
-        flat = np.empty(size).reshape(-1)
-        small = np.min_scalar_type(len(cdf) - 1)  # narrow counts stream less memory
-        counts = np.empty(min(_BLOCK_ENTRIES, flat.size), small)  # one block's, once per call
-        for lo in range(0, flat.size, _BLOCK_ENTRIES):
-            u = rng.random(out=flat[lo : lo + _BLOCK_ENTRIES])
+        # one piece's counts, in the narrowest integer type, which streams less memory
+        counts = np.empty(min(_BLOCK_ENTRIES, math.prod(shape)), np.min_scalar_type(len(cdf) - 1))
+
+        def fill(u: np.ndarray) -> None:
             idx = np.greater_equal(u, cdf[0], out=counts[: u.size])
             for edge in cdf[1:-1]:  # u < 1 == cdf[-1], so the last edge never counts
                 np.add(idx, u >= edge, out=idx)
             # every count is a valid index, so "clip" only skips the bounds check
             np.take(speeds, idx, out=u, mode="clip")
-        return flat.reshape(size)
+
+        block_rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+        return _DrawnRows(rng, shape, fill, _SPEED_BATCH_BLOCKS * block_rows)
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1

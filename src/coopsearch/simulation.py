@@ -1,10 +1,10 @@
 """Batch kernels: the time to solution of each cooperation strategy over a batch of trials.
 
-Each *_times kernel takes (trials, m) arrays of agent speeds and starts and the
-trials' solution positions, and returns one time per trial.  They share one
-driver, which checks the batch and runs the kernel's formula per row block of
-about _BLOCK_ENTRIES entries; the one- and two-directional formulas (and
-proportional through one-directional) work in one reused (rows, m) array.
+Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
+rows, and the trials' solution positions, and returns one time per trial.  They
+share one driver, which checks the batch and runs the formula in row order per
+block of about _BLOCK_ENTRIES entries; the one- and two-directional formulas
+(and proportional through one-directional) work in one reused (rows, m) array.
 numpy pays a fixed cost per row when it reduces along a short row, so a row of
 at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group
 starts at or before x, a column at a time, and so does the sum of a row of at
@@ -60,7 +60,7 @@ def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
 def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
     """Check a batch, then fill one time per trial by `block(s, v, x, length, work, out)`
     per row block; `starts` is None for a kernel that places its own."""
-    if speeds.ndim != 2 or (starts is not None and starts.shape != speeds.shape):
+    if len(speeds.shape) != 2 or (starts is not None and starts.shape != speeds.shape):
         shapes = speeds.shape if starts is None else (starts.shape, speeds.shape)
         raise ValueError(f"starts/speeds must share shape (trials, m), got {shapes}")
     trials, m = speeds.shape

@@ -176,9 +176,10 @@ def one_shot_chunks(p):
 
 
 def test_run_trials_chunk_seed_contract():
-    # random starts are drawn a row block at a time and the speeds and x from a second
-    # generator advanced past them; every plan still matches one-shot draws of the
-    # stream, over a full and a ragged chunk, bit for bit
+    # random starts and sampled speeds are drawn as the kernel reads them, each from the
+    # chunk's generator advanced past what comes before it, and x from one advanced
+    # past both; every plan still matches one-shot draws of the stream, over a full
+    # and a ragged chunk, bit for bit
     point = SpeedDistribution.point_mass(1.375)
     methods = [
         ("one-directional", "random"),
@@ -195,8 +196,9 @@ def test_run_trials_chunk_seed_contract():
         for method in methods
         for speeds in (MIXED, UNIT, point, tuple(np.resize([0.5, 1.375, 1.0], m)))
     ]
-    # at m = 256 each chunk array is 67 MB: every kind on sampled speeds, and the
-    # advance with no speed draw after it
+    # at m = 256 a chunk's speeds span several batches: every kind on sampled speeds,
+    # so x's offset is checked past multi-batch speeds, and the advance with no speed
+    # draw after it
     cases += [(256, method, MIXED) for method in methods[:4]]
     cases += [(256, methods[0], UNIT), (256, methods[2], point), (256, methods[6], MIXED)]
     for m, (method, allocation), speeds in cases:
@@ -220,37 +222,42 @@ def test_uniform_starts_are_scaled_random_draws(length):
 
     assert np.array_equal(length * rng().random(5000), rng().uniform(0, length, 5000))
     # the drawn start source gives the one-shot draw, block by block over a ragged tail
-    source = model._DrawnStarts(rng(), length, (1000, 5))
+    source = model._drawn_starts(rng(), length, (1000, 5))
     blocks = [source[rows].copy() for rows in (slice(0, 400), slice(400, 800), slice(800, 1000))]
     assert np.array_equal(np.concatenate(blocks), rng().uniform(0, length, (1000, 5)))
 
 
 def test_drawn_starts_read_in_row_order():
-    source = model._DrawnStarts(np.random.default_rng(0), L, (100, 3))
-    assert source.shape == (100, 3)
-    with pytest.raises(IndexError, match="row order"):
-        source[10:20]  # skips rows 0-9
-    source[0:10]
-    with pytest.raises(IndexError, match="row order"):
-        source[0:10]  # reads rows 0-9 again
-    with pytest.raises(IndexError, match="row order"):
-        source[10:20:2]
-    source[10:100]
+    # the random starts and the sampled speeds are both drawn sources
+    rng = np.random.default_rng(0)
+    for source in (model._drawn_starts(rng, L, (100, 3)), MIXED.sample(rng, (100, 3))):
+        assert source.shape == (100, 3)
+        with pytest.raises(IndexError, match="row order"):
+            source[10:20]  # skips rows 0-9
+        source[0:10]
+        with pytest.raises(IndexError, match="row order"):
+            source[0:10]  # reads rows 0-9 again
+        with pytest.raises(IndexError, match="row order"):
+            source[10:20:2]
+        source[10:100]
 
 
-@pytest.mark.parametrize("method", ["one-directional", "two-directional", "grouped-3"])
+@pytest.mark.parametrize(
+    "method", ["one-directional", "two-directional", "grouped-3", "equal", "proportional"]
+)
 def test_random_starts_do_not_take_a_chunk_array(method):
-    # drawing the whole (trials, m) start array up front peaked above twice the speed
-    # array; drawn a block at a time, the speed array is the only chunk-sized one
-    p = plan(64, resolve_method(method)[1], "random", MIXED, trials=CHUNK_TRIALS)
-    speeds_bytes = CHUNK_TRIALS * 64 * 8
+    # the starts and the sampled speeds are drawn as the kernel reads them, so no chunk
+    # at m = 256 holds a (trials, m) array: a whole draw of either took one, 67 MB
+    _, strategy, allocation = resolve_method(method)
+    p = plan(256, strategy, allocation, MIXED, trials=CHUNK_TRIALS)
+    chunk_array_bytes = CHUNK_TRIALS * 256 * 8
     tracemalloc.start()
     try:
         run_trials(p, workers=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * speeds_bytes, peak / speeds_bytes
+    assert peak < chunk_array_bytes / 4, peak / chunk_array_bytes
 
 
 def test_seed_changes_result():

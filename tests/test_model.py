@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution
+from coopsearch.model import _BLOCK_ENTRIES, _SPEED_BATCH_BLOCKS, RegionSpec, SpeedDistribution
 from coopsearch.simulation import one_directional_times
 
 L = 1000.0
@@ -87,8 +87,9 @@ def test_speed_distribution_validation():
 
 def test_speed_distribution_sampling():
     rng = np.random.default_rng(11)
-    draws = MIXED.sample(rng, (500, 4))
-    assert draws.shape == (500, 4)
+    source = MIXED.sample(rng, (500, 4))
+    draws = source[:]
+    assert source.shape == draws.shape == (500, 4)
     values = set(np.unique(draws))
     assert values <= {0.5, 1.0, 1.375}
     # all three atoms appear in 2000 draws
@@ -99,18 +100,32 @@ TEN_ATOMS = SpeedDistribution(tuple((0.25 * (i + 1), 0.1) for i in range(10)))
 TINY_MASS = SpeedDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12)))
 
 
+# m = 256 as in a wide chunk: three whole speed batches of row blocks and a ragged fourth
+MULTI_BATCH = (3 * _SPEED_BATCH_BLOCKS * (_BLOCK_ENTRIES // 256) + 5, 256)
+
+
 @pytest.mark.parametrize(
     "law", [SpeedDistribution.point_mass(1.5), MIXED, TEN_ATOMS, TINY_MASS], ids=["1", "3", "10", "tiny"]
 )
 @pytest.mark.parametrize(
-    "size", [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300)]
+    "size",
+    [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300), MULTI_BATCH],
 )
 def test_speed_sample_follows_choice_stream(law, size):
-    # the blocked draw is Generator.choice's stream bit for bit, and leaves the
-    # generator where choice leaves it
-    ref, rng = np.random.default_rng(23), np.random.default_rng(23)
+    # the drawn speeds are Generator.choice's stream bit for bit, read whole or in
+    # ragged in-order slices (at MULTI_BATCH some cross a batch end, and some are
+    # longer than a batch), and once read they leave the generator where choice does
+    ref = np.random.default_rng(23)
     want = ref.choice(law.speeds, size=size, p=law.masses)
-    got = law.sample(rng, size)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert rng.random() == ref.random()
+    after = ref.random()
+    cuts, step = [0], 0
+    while cuts[-1] < want.shape[0]:
+        cuts.append(min(want.shape[0], cuts[-1] + (1, 3, 997, 4099)[step % 4]))
+        step += 1
+    for reads in ([slice(None)], [slice(a, b) for a, b in zip(cuts, cuts[1:])]):
+        rng = np.random.default_rng(23)
+        source = law.sample(rng, size)
+        assert source.shape == want.shape
+        got = np.concatenate([source[rows].copy() for rows in reads])
+        assert np.array_equal(got, want)
+        assert rng.random() == after
