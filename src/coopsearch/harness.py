@@ -10,9 +10,9 @@ count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
 default_rng(SeedSequence(entropy=base_seed, spawn_key=(stream, k))), and partial sums
 are folded in chunk order with compensated summation.  A chunk's stream is its random
 starts, sampled speeds and solution positions, in that order.  The kernel loop reads
-the starts and the speeds as drawn rows, so no (trials, m) array is built: the starts
-from the chunk's generator and the speeds from one advanced past them; the solution
-positions, drawn before the kernel runs, from one advanced past both.
+the starts and the speeds a row block at a time, as drawn rows, so no (trials, m) array
+is built: the starts from the chunk's generator and the speeds from one advanced past
+them; the solution positions, drawn before the kernel runs, from one advanced past both.
 
 Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
 thread, largest plan first; each plan's chunks run in order on its thread.  A single

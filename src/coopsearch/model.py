@@ -1,5 +1,6 @@
 """Core value types: the circular region and the agents' speed law, and the row blocks
-and drawn rows that the random starts, the speed draw and the batch kernels share."""
+that the batch kernels, the random starts and the sampled speeds share: the starts and
+the speeds are drawn rows, each drawn as a kernel reads its row block."""
 
 from __future__ import annotations
 
@@ -13,10 +14,6 @@ __all__ = ["RegionSpec", "SpeedDistribution"]
 # entries per block in the drawn rows, the batch kernels and the gap histogram:
 # 512 KB per float64 temporary, which keeps a block's working set in cache
 _BLOCK_ENTRIES = 1 << 16
-# kernel row blocks per batch of sampled speeds, about 2**19 entries: with one block
-# per batch a 32768-trial chunk of grouped-3 at m = 12 took 40% longer, from numpy's
-# per-call costs, while 8 blocks ran level with a whole-chunk draw at m <= 32
-_SPEED_BATCH_BLOCKS = 8
 
 
 def _row_blocks(trials: int, m: int):
@@ -28,32 +25,28 @@ def _row_blocks(trials: int, m: int):
 
 class _DrawnRows:
     """The rows of the one-shot draw `fill(rng.random(shape))`, drawn in row order as a
-    reader asks for them, at least `batch_rows` rows at a time, into one reused buffer.
-    `rng.random` fills in C order, so a batch drawn one _BLOCK_ENTRIES piece at a time,
-    each piece mapped in place by `fill`, is the one-shot stream.  A read is a view of
+    reader asks for them, exactly the rows of each read, into one reused buffer.
+    `rng.random` fills in C order, so rows drawn one _BLOCK_ENTRIES piece at a time,
+    each piece mapped in place by `fill`, are the one-shot stream.  A read is a view of
     the buffer, valid until the next read."""
 
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, ...], fill, batch_rows: int = 1) -> None:
-        self.shape, self._rng, self._fill, self._batch_rows = shape, rng, fill, batch_rows
-        self._next = self._lo = self._hi = 0  # the next row to read; rows [lo, hi) are in the buffer
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, ...], fill) -> None:
+        self.shape, self._rng, self._fill = shape, rng, fill
+        self._next = 0  # the next row to read
         self._buf = np.empty((0, *shape[1:]))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])
         if (start, step) != (self._next, 1):
             raise IndexError(f"rows are drawn in row order: next row {self._next}, got {rows}")
-        self._next = stop
-        if stop > self._hi:
-            hi = min(self.shape[0], max(stop, start + self._batch_rows))
-            kept = self._buf[start - self._lo : self._hi - self._lo]
-            if hi - start > len(self._buf):
-                self._buf = np.empty((hi - start, *self.shape[1:]))
-            self._buf[: len(kept)] = kept
-            flat = self._buf[len(kept) : hi - start].reshape(-1)
-            for lo in range(0, flat.size, _BLOCK_ENTRIES):
-                self._fill(self._rng.random(out=flat[lo : lo + _BLOCK_ENTRIES]))
-            self._lo, self._hi = start, hi
-        return self._buf[start - self._lo : stop - self._lo]
+        self._next = stop = max(start, stop)
+        if stop - start > len(self._buf):
+            self._buf = np.empty((stop - start, *self.shape[1:]))
+        drawn = self._buf[: stop - start]
+        flat = drawn.reshape(-1)
+        for lo in range(0, flat.size, _BLOCK_ENTRIES):
+            self._fill(self._rng.random(out=flat[lo : lo + _BLOCK_ENTRIES]))
+        return drawn
 
 
 def _drawn_starts(rng: np.random.Generator, length: float, shape: tuple[int, int]) -> _DrawnRows:
@@ -121,7 +114,8 @@ class SpeedDistribution:
         return np.array([p for _, p in self.atoms], dtype=float)
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> _DrawnRows:
-        """I.i.d. speeds as drawn rows: read in row order, they are bit for bit
+        """I.i.d. speeds as drawn rows, which a kernel reads one row block at a time,
+        each read drawing just its rows: read in row order, they are bit for bit
         `rng.choice(self.speeds, size, p=self.masses)`, and after the last row `rng` is
         where `choice` leaves it.
 
@@ -143,8 +137,7 @@ class SpeedDistribution:
             # every count is a valid index, so "clip" only skips the bounds check
             np.take(speeds, idx, out=u, mode="clip")
 
-        block_rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
-        return _DrawnRows(rng, shape, fill, _SPEED_BATCH_BLOCKS * block_rows)
+        return _DrawnRows(rng, shape, fill)
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1

@@ -3,8 +3,8 @@
 Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
 share one driver, which checks the batch and runs the formula in row order per
-block of about _BLOCK_ENTRIES entries; the one- and two-directional formulas
-(and proportional through one-directional) work in one reused (rows, m) array.
+block of about _BLOCK_ENTRIES entries, in a reused pair of (rows, m) arrays: only
+grouped's argsort, and its gather from a broadcast start row, allocate per block.
 numpy pays a fixed cost per row when it reduces along a short row, so a row of
 at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group
 starts at or before x, a column at a time, and so does the sum of a row of at
@@ -59,7 +59,8 @@ def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
 
 def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
     """Check a batch, then fill one time per trial by `block(s, v, x, length, work, out)`
-    per row block; `starts` is None for a kernel that places its own."""
+    per row block, `work` a pair of (rows, m) arrays; `starts` is None for a kernel that
+    places its own."""
     if len(speeds.shape) != 2 or (starts is not None and starts.shape != speeds.shape):
         shapes = speeds.shape if starts is None else (starts.shape, speeds.shape)
         raise ValueError(f"starts/speeds must share shape (trials, m), got {shapes}")
@@ -73,9 +74,9 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
     if broadcast:
         _require_in_region(starts[:1], length, "agent starts")
     blocks = list(_row_blocks(trials, m))
-    # one work array per call: a block's (rows, m) temporaries freed on return are
-    # handed back to the OS and faulted in again for the next block
-    work = np.empty((blocks[0].stop if blocks else 0, m))
+    # work arrays per call, not per block: a block's (rows, m) temporaries freed on
+    # return are handed back to the OS and faulted in again for the next block
+    work = np.empty((2, blocks[0].stop if blocks else 0, m))
     out = np.empty(trials)
     for rows in blocks:
         s = None
@@ -83,40 +84,44 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
             s = starts[rows]
             if not broadcast:
                 _require_in_region(s, length, "agent starts")
-        block(s, speeds[rows], x[rows], length, work[: rows.stop - rows.start], out[rows])
+        block(s, speeds[rows], x[rows], length, work[:, : rows.stop - rows.start], out[rows])
     return out
 
 
-def _wrap(d: np.ndarray, length: float) -> None:
-    """`d % length` in place, bit for bit, for |d| < length.  d + length can round up
-    to length, which the clamp turns into the largest offset below it."""
-    d += length * (d < 0)
+def _wrap(d: np.ndarray, length: float, scratch: np.ndarray | None = None) -> None:
+    """`d % length` in place, bit for bit, for |d| < length, with `scratch` (d's shape)
+    for the offsets.  d + length can round up to length, which the clamp turns into
+    the largest offset below it."""
+    d += np.multiply(length, d < 0, out=scratch)
     np.minimum(d, np.nextafter(length, 0.0), out=d)
 
 
-def _one_directional_block(s, v, x, length, d, out) -> None:
+def _one_directional_block(s, v, x, length, work, out) -> None:
+    d, e = work
     np.subtract(x[:, None], s, out=d)
-    _wrap(d, length)
+    _wrap(d, length, e)
     d /= v
     _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 
-def _two_directional_block(s, v, x, length, d, out) -> None:
+def _two_directional_block(s, v, x, length, work, out) -> None:
     # the nearer way round is min(|d|, length - |d|); length - |d| rounds to
     # length only when |d| is tiny, and then |d| is the minimum anyway
+    d, e = work
     np.subtract(x[:, None], s, out=d)
     np.abs(d, out=d)
-    np.minimum(d, length - d, out=d)
+    np.minimum(d, np.subtract(length, d, out=e), out=d)
     d /= 0.5 * v
     _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 
-def _grouped_block(group_size, s, v, x, length, _, out) -> None:
+def _grouped_block(group_size, s, v, x, length, work, out) -> None:
     trials, m = s.shape
     offsets = np.arange(0, trials * m, m)[:, None]  # row r's first entry in the flat block
     order = np.argsort(s, axis=1)
     order += offsets
-    srt = np.take(s, order)
+    # every index is valid, so "clip" only lets take write `out` without a buffer
+    srt = np.take(s, order, out=work[0], mode="clip")
     # only equal starts have another sorted order, and the stable one is the contract;
     # srt keeps the first: ties differ at most in the sign of 0.0, which _wrap erases
     if (tie := srt[:, 1:] == srt[:, :-1]).any():
@@ -140,16 +145,16 @@ def _grouped_block(group_size, s, v, x, length, _, out) -> None:
         out[r] /= _reduce_rows(np.add, speeds, np.empty(len(speeds)), _SUM_SWEEP_COLUMNS)
 
 
-def _proportional_block(_, v, x, length, d, out) -> None:
+def _proportional_block(_, v, x, length, work, out) -> None:
     # arcs of length v * L / sum(v) head to tail from 0; the starts are the running
     # sums, clamped at L where rounding carries a start past it
+    d, e = work
     total = _reduce_rows(np.add, v, np.empty(len(x)), _SUM_SWEEP_COLUMNS)
-    np.multiply(v, (length / total)[:, None], out=d)
-    np.cumsum(d, axis=1, out=d)
-    d[:, 1:] = d[:, :-1]
+    np.multiply(v, (length / total)[:, None], out=e)
+    np.cumsum(e[:, :-1], axis=1, out=d[:, 1:])
     d[:, 0] = 0.0
     np.minimum(d, length, out=d)
-    _one_directional_block(d, v, x, length, d, out)
+    _one_directional_block(d, v, x, length, work, out)
 
 
 def one_directional_times(

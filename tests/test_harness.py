@@ -239,6 +239,9 @@ def test_drawn_starts_read_in_row_order():
             source[0:10]  # reads rows 0-9 again
         with pytest.raises(IndexError, match="row order"):
             source[10:20:2]
+        assert source[10:5].shape == (0, 3)  # an empty read
+        with pytest.raises(IndexError, match="row order"):
+            source[5:10]  # the empty read did not step back to row 5
         source[10:100]
 
 
@@ -246,8 +249,9 @@ def test_drawn_starts_read_in_row_order():
     "method", ["one-directional", "two-directional", "grouped-3", "equal", "proportional"]
 )
 def test_random_starts_do_not_take_a_chunk_array(method):
-    # the starts and the sampled speeds are drawn as the kernel reads them, so no chunk
-    # at m = 256 holds a (trials, m) array: a whole draw of either took one, 67 MB
+    # the starts and the sampled speeds are drawn one kernel row block at a time, as the
+    # kernel reads them, so a chunk at m = 256 holds no (trials, m) array (a whole draw
+    # of either took one, 67 MB) and no multi-block draw buffer
     _, strategy, allocation = resolve_method(method)
     p = plan(256, strategy, allocation, MIXED, trials=CHUNK_TRIALS)
     chunk_array_bytes = CHUNK_TRIALS * 256 * 8
@@ -257,7 +261,7 @@ def test_random_starts_do_not_take_a_chunk_array(method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < chunk_array_bytes / 4, peak / chunk_array_bytes
+    assert peak < chunk_array_bytes / 12, peak / chunk_array_bytes
 
 
 def test_seed_changes_result():

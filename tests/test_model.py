@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coopsearch.model import _BLOCK_ENTRIES, _SPEED_BATCH_BLOCKS, RegionSpec, SpeedDistribution
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution
 from coopsearch.simulation import one_directional_times
 
 L = 1000.0
@@ -100,8 +100,8 @@ TEN_ATOMS = SpeedDistribution(tuple((0.25 * (i + 1), 0.1) for i in range(10)))
 TINY_MASS = SpeedDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12)))
 
 
-# m = 256 as in a wide chunk: three whole speed batches of row blocks and a ragged fourth
-MULTI_BATCH = (3 * _SPEED_BATCH_BLOCKS * (_BLOCK_ENTRIES // 256) + 5, 256)
+# m = 256 as in a wide chunk: 24 whole kernel row blocks and a ragged 25th
+MULTI_BLOCK = (24 * (_BLOCK_ENTRIES // 256) + 5, 256)
 
 
 @pytest.mark.parametrize(
@@ -109,12 +109,12 @@ MULTI_BATCH = (3 * _SPEED_BATCH_BLOCKS * (_BLOCK_ENTRIES // 256) + 5, 256)
 )
 @pytest.mark.parametrize(
     "size",
-    [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300), MULTI_BATCH],
+    [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300), MULTI_BLOCK],
 )
 def test_speed_sample_follows_choice_stream(law, size):
     # the drawn speeds are Generator.choice's stream bit for bit, read whole or in
-    # ragged in-order slices (at MULTI_BATCH some cross a batch end, and some are
-    # longer than a batch), and once read they leave the generator where choice does
+    # ragged in-order slices (at MULTI_BLOCK some cross a kernel block's end, and some
+    # span several blocks), and once read they leave the generator where choice does
     ref = np.random.default_rng(23)
     want = ref.choice(law.speeds, size=size, p=law.masses)
     after = ref.random()

@@ -399,7 +399,7 @@ def test_proportional_kernel_last_arc_at_length(row):
 
 def one_pass(block, starts, speeds, x):
     out = np.empty(len(x))
-    block(starts, speeds, x, L, np.empty(speeds.shape), out)
+    block(starts, speeds, x, L, np.empty((2, *speeds.shape)), out)
     return out
 
 
