@@ -1,10 +1,11 @@
 """Core value types: the circular region and the agents' speed law, and the row blocks
 that the batch kernels, the random starts and the sampled speeds share: the starts and
-the speeds are drawn rows, each drawn as a kernel reads its row block."""
+the speeds are drawn rows, read in row order, a row block per draw as a kernel reads it."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,29 +25,22 @@ def _row_blocks(trials: int, m: int):
 
 
 class _DrawnRows:
-    """The rows of the one-shot draw `fill(rng.random(shape))`, drawn in row order as a
-    reader asks for them, exactly the rows of each read, into one reused buffer.
-    `rng.random` fills in C order, so rows drawn one _BLOCK_ENTRIES piece at a time,
-    each piece mapped in place by `fill`, are the one-shot stream.  A read is a view of
-    the buffer, valid until the next read."""
+    """The rows of the one-shot draw `fill(rng.random(shape))`, drawn as a reader asks
+    for them.  A reader reads in row order, one row block at a time; each read is one
+    `rng.random` draw of its rows into one reused buffer, mapped in place by `fill`,
+    and since `rng.random` fills in C order, in-order reads are the one-shot stream.
+    A read is a view of the buffer, valid until the next read."""
 
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, ...], fill) -> None:
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, int], fill) -> None:
         self.shape, self._rng, self._fill = shape, rng, fill
-        self._next = 0  # the next row to read
-        self._buf = np.empty((0, *shape[1:]))
+        self._buf = np.empty((0, shape[1]))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, step = rows.indices(self.shape[0])
-        if (start, step) != (self._next, 1):
-            raise IndexError(f"rows are drawn in row order: next row {self._next}, got {rows}")
-        self._next = stop = max(start, stop)
-        if stop - start > len(self._buf):
-            self._buf = np.empty((stop - start, *self.shape[1:]))
-        drawn = self._buf[: stop - start]
-        flat = drawn.reshape(-1)
-        for lo in range(0, flat.size, _BLOCK_ENTRIES):
-            self._fill(self._rng.random(out=flat[lo : lo + _BLOCK_ENTRIES]))
-        return drawn
+        count = len(range(*rows.indices(self.shape[0])))
+        if count > len(self._buf):
+            self._buf = np.empty((count, self.shape[1]))
+        self._fill(self._rng.random(out=self._buf[:count].reshape(-1)))
+        return self._buf[:count]
 
 
 def _drawn_starts(rng: np.random.Generator, length: float, shape: tuple[int, int]) -> _DrawnRows:
@@ -62,9 +56,10 @@ def _require_positive_int(value, name: str) -> None:
 
 
 def _require_finite_positive(value, name: str) -> None:
-    """The one rule for a length or a speed: finite, above 0, and not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    """The one rule for a length or a speed: finite, normal and positive, and not a bool.
+    A subnormal L fails because uniform(0, L) = L * u can round up to L."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(f"{name} must be finite, positive and not subnormal, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,24 +108,25 @@ class SpeedDistribution:
     def masses(self) -> np.ndarray:
         return np.array([p for _, p in self.atoms], dtype=float)
 
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> _DrawnRows:
-        """I.i.d. speeds as drawn rows, which a kernel reads one row block at a time,
-        each read drawing just its rows: read in row order, they are bit for bit
-        `rng.choice(self.speeds, size, p=self.masses)`, and after the last row `rng` is
+    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> _DrawnRows:
+        """I.i.d. (trials, m) speeds as drawn rows, which a kernel reads one row block at
+        a time, each read drawing just its rows: read in row order, they are bit for bit
+        `rng.choice(self.speeds, shape, p=self.masses)`, and after the last row `rng` is
         where `choice` leaves it.
 
         Like `choice`, this inverts the normalized cdf at `rng.random` draws, and it
         finds each index by counting the cdf edges at or below u, which is
         `cdf.searchsorted(u, "right")` without the search.
         """
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
         cdf = self.masses.cumsum()
         cdf /= cdf[-1]
         speeds = self.speeds
-        # one piece's counts, in the narrowest integer type, which streams less memory
-        counts = np.empty(min(_BLOCK_ENTRIES, math.prod(shape)), np.min_scalar_type(len(cdf) - 1))
+        # a read's counts, in the narrowest integer type, which streams less memory
+        counts = np.empty(0, np.min_scalar_type(len(cdf) - 1))
 
         def fill(u: np.ndarray) -> None:
+            nonlocal counts  # grown to the largest read, so a block allocates nothing
+            counts = counts if counts.size >= u.size else np.empty(u.size, counts.dtype)
             idx = np.greater_equal(u, cdf[0], out=counts[: u.size])
             for edge in cdf[1:-1]:  # u < 1 == cdf[-1], so the last edge never counts
                 np.add(idx, u >= edge, out=idx)

@@ -3,12 +3,12 @@
 Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
 share one driver, which checks the batch and runs the formula in row order per
-block of about _BLOCK_ENTRIES entries, in a reused pair of (rows, m) arrays: only
-grouped's argsort, and its gather from a broadcast start row, allocate per block.
-numpy pays a fixed cost per row when it reduces along a short row, so a row of
-at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group
-starts at or before x, a column at a time, and so does the sum of a row of at
-most _SUM_SWEEP_COLUMNS speeds.
+block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
+pair of (rows, m) arrays: only grouped's argsort, and its gather from a broadcast
+start row, allocate per block.  numpy pays a fixed cost per row when it reduces along
+a short row, so a row of at most _SWEEP_COLUMNS entries takes its minimum, or
+grouped's count of the group starts at or before x, a column at a time, and so does
+the sum of a row of at most _SUM_SWEEP_COLUMNS speeds.
 
 The grouped kernel sorts each row's starts with the default sort, and only rows
 with a tie sort again, stably, because the stable order is the contract.  Each

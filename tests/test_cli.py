@@ -98,6 +98,9 @@ USAGE_ERRORS = [
         ["pl-hist", "--agents", "2", "--region-length", "nan"],
         # a stray positional is an argument the command does not take
         ["simulate", "--agents", "3", "stray"],
+        # a subnormal length: its uniform(0, L) = L * u draws round up to L
+        ["simulate", "--agents", "3", "--region-length", "5e-324"],
+        ["pl-hist", "--agents", "2", "--region-length", "5e-324"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):

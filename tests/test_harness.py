@@ -190,22 +190,26 @@ def test_run_trials_chunk_seed_contract():
         ("two-directional", "semi-equal"),
         ("grouped-3", "equal"),
     ]
+    two_chunks = CHUNK_TRIALS + 1000
     cases = [
-        (m, method, speeds)
+        (m, method, speeds, two_chunks)
         for m in (1, 3)
         for method in methods
         for speeds in (MIXED, UNIT, point, tuple(np.resize([0.5, 1.375, 1.0], m)))
     ]
-    # at m = 256 a chunk's speeds span several batches: every kind on sampled speeds,
-    # so x's offset is checked past multi-batch speeds, and the advance with no speed
-    # draw after it
-    cases += [(256, method, MIXED) for method in methods[:4]]
-    cases += [(256, methods[0], UNIT), (256, methods[2], point), (256, methods[6], MIXED)]
-    for m, (method, allocation), speeds in cases:
+    # at m = 256 a chunk's speeds span many kernel blocks: every kind on sampled speeds,
+    # so x's offset is checked past them, and the advance with no speed draw after it
+    cases += [(256, method, MIXED, two_chunks) for method in methods[:4]]
+    cases += [(256, methods[0], UNIT, two_chunks), (256, methods[2], point, two_chunks)]
+    cases += [(256, methods[6], MIXED, two_chunks)]
+    # past _BLOCK_ENTRIES agents each kernel block is a single row, drawn in one call:
+    # every kind on random starts and sampled speeds, over a few trials
+    cases += [(model._BLOCK_ENTRIES + 1, method, MIXED, 3) for method in methods[:4]]
+    for m, (method, allocation), speeds, trials in cases:
         _, strategy, _ = resolve_method(method)
         if strategy.kind == "grouped" and strategy.group_size > m:
             continue
-        p = plan(m, strategy, allocation, speeds, trials=CHUNK_TRIALS + 1000, seed=42)
+        p = plan(m, strategy, allocation, speeds, trials=trials, seed=42)
         got = run_trials(p)
         times = one_shot_chunks(p)
         case = (m, method, allocation, speeds)
@@ -225,24 +229,6 @@ def test_uniform_starts_are_scaled_random_draws(length):
     source = model._drawn_starts(rng(), length, (1000, 5))
     blocks = [source[rows].copy() for rows in (slice(0, 400), slice(400, 800), slice(800, 1000))]
     assert np.array_equal(np.concatenate(blocks), rng().uniform(0, length, (1000, 5)))
-
-
-def test_drawn_starts_read_in_row_order():
-    # the random starts and the sampled speeds are both drawn sources
-    rng = np.random.default_rng(0)
-    for source in (model._drawn_starts(rng, L, (100, 3)), MIXED.sample(rng, (100, 3))):
-        assert source.shape == (100, 3)
-        with pytest.raises(IndexError, match="row order"):
-            source[10:20]  # skips rows 0-9
-        source[0:10]
-        with pytest.raises(IndexError, match="row order"):
-            source[0:10]  # reads rows 0-9 again
-        with pytest.raises(IndexError, match="row order"):
-            source[10:20:2]
-        assert source[10:5].shape == (0, 3)  # an empty read
-        with pytest.raises(IndexError, match="row order"):
-            source[5:10]  # the empty read did not step back to row 5
-        source[10:100]
 
 
 @pytest.mark.parametrize(

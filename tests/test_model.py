@@ -109,12 +109,15 @@ MULTI_BLOCK = (24 * (_BLOCK_ENTRIES // 256) + 5, 256)
 )
 @pytest.mark.parametrize(
     "size",
-    [1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1, (3, 5), (257, 300), MULTI_BLOCK],
+    [(1, n) for n in (1, 7, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 3, 3 * _BLOCK_ENTRIES - 1)]
+    + [(3, 5), (257, 300), MULTI_BLOCK],
+    ids=lambda size: str(size[1]) if size[0] == 1 else None,  # a single row is named by its length
 )
 def test_speed_sample_follows_choice_stream(law, size):
     # the drawn speeds are Generator.choice's stream bit for bit, read whole or in
     # ragged in-order slices (at MULTI_BLOCK some cross a kernel block's end, and some
-    # span several blocks), and once read they leave the generator where choice does
+    # span several blocks; a single row longer than _BLOCK_ENTRIES is one draw), and
+    # once read they leave the generator where choice does
     ref = np.random.default_rng(23)
     want = ref.choice(law.speeds, size=size, p=law.masses)
     after = ref.random()
