@@ -64,7 +64,7 @@ def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.
     """
     _require_positive_int(m, "agent count")
     _require_finite_positive(region_length, "region length")
-    n = m.bit_length() - 1  # 2^n <= m < 2^(n+1)
+    n = int(m).bit_length() - 1  # 2^n <= m < 2^(n+1); a numpy integer has no bit_length
     if m == 2**n:
         return np.array([region_length / 2**n]), np.array([1.0])
     long_count = 2 ** (n + 1) - m

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from typing import Iterator
 
 import numpy as np
 
@@ -75,44 +73,40 @@ def expected_time_random_starts(
     return _factorized_mean(m, L, speed_pmf, 2.0 * L * L / (m * (m + 1)))
 
 
-# about 10 us a term on a 10-atom law, so seconds of work at the cap; the largest
+# about 1.5-2 us a term on a 10-atom law (2-vCPU VM), so about 2 s at the cap; the largest
 # enumeration any table needs is 58,905 terms (m=32, 5 atoms)
 _MAX_TERMS = 10**6
-
-
-def _count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every k counts that sum to n, in lexicographic order, by stars and bars: the
-    k - 1 bars take increasing places among n + k - 1, and the counts are the gaps."""
-    for bars in itertools.combinations(range(n + k - 1), k - 1):
-        edges = (-1, *bars, n + k - 1)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
     """E[1 / (v_1 + ... + v_n)] for n independent draws from the speed law.
 
     Exact enumeration over count vectors; C(n + k - 1, k - 1) terms for k atoms.
-    More than _MAX_TERMS terms raises ValueError rather than run for hours.
+    More than _MAX_TERMS terms raises ValueError rather than run for hours.  One
+    depth-first walk extends each prefix of counts once for every term below it;
+    a prefix that has used all n draws is a term, since the atoms after it would
+    only multiply by p**0 = 1.0 and add 0.0 to the fsum.
     """
     _require_positive_int(n, "draw count")
-    speeds = [v for v, _ in speed_pmf.atoms]
-    masses = [p for _, p in speed_pmf.atoms]
-    terms = math.comb(n + len(speeds) - 1, len(speeds) - 1)
+    atoms = speed_pmf.atoms
+    terms = math.comb(n + len(atoms) - 1, len(atoms) - 1)
     if terms > _MAX_TERMS:
         raise ValueError(
-            f"E[1/sum(v)] for {n} draws of a {len(speeds)}-atom speed law "
+            f"E[1/sum(v)] for {n} draws of a {len(atoms)}-atom speed law "
             f"enumerates {terms} terms, more than {_MAX_TERMS}"
         )
     acc = 0.0
-    for counts in _count_vectors(n, len(speeds)):
-        coef = 1
-        rem = n
-        for c in counts:
-            coef *= math.comb(rem, c)
-            rem -= c
-        prob = coef * math.prod(p**c for p, c in zip(masses, counts))
-        total_speed = math.fsum(c * v for c, v in zip(counts, speeds))
-        acc += prob / total_speed
+    stack = [(0, n, 1, 1.0, ())]  # (next atom, draws left, coefficient, probability, speed terms)
+    while stack:
+        i, rem, coef, prob, parts = stack.pop()
+        if rem == 0:
+            acc += coef * prob / math.fsum(parts)
+            continue
+        v, p = atoms[i]
+        low = rem if i == len(atoms) - 1 else 0  # the last atom takes every draw left
+        for c in range(rem, low - 1, -1):  # pushed high to low, popped in lexicographic order
+            parts_c = (*parts, c * v) if c else parts
+            stack.append((i + 1, rem - c, coef * math.comb(rem, c), prob * p**c, parts_c))
     return acc
 
 

@@ -169,6 +169,9 @@ class TrialPlan:
                 f"group size {self.strategy.group_size} exceeds agent count {self.num_agents}"
             )
         _require_positive_int(self.trials, "trials")
+        # held as Python ints: PCG64.advance fails on a numpy integer's stream skip
+        object.__setattr__(self, "num_agents", int(self.num_agents))
+        object.__setattr__(self, "trials", int(self.trials))
         if isinstance(self.base_seed, bool) or not (
             isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0
         ):

@@ -4,11 +4,12 @@ Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
 share one driver, which checks the batch and runs the formula in row order per
 block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
-pair of (rows, m) arrays: only grouped's argsort, and its gather from a broadcast
-start row, allocate per block.  numpy pays a fixed cost per row when it reduces along
-a short row, so a row of at most _SWEEP_COLUMNS entries takes its minimum, or
-grouped's count of the group starts at or before x, a column at a time, and so does
-the sum of a row of at most _SUM_SWEEP_COLUMNS speeds.
+pair of (rows, m) float arrays; the (rows, m) temporaries a block still allocates
+are _wrap's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
+fixed cost per row when it reduces along a short row, so a row of at most
+_SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group starts at
+or before x, a column at a time, and so does the sum of a row of at most
+_SUM_SWEEP_COLUMNS speeds.
 
 The grouped kernel sorts each row's starts with the default sort, and only rows
 with a tie sort again, stably, because the stable order is the contract.  Each
@@ -111,7 +112,7 @@ def _two_directional_block(s, v, x, length, work, out) -> None:
     np.subtract(x[:, None], s, out=d)
     np.abs(d, out=d)
     np.minimum(d, np.subtract(length, d, out=e), out=d)
-    d /= 0.5 * v
+    d /= np.multiply(v, 0.5, out=e)
     _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 

@@ -5,8 +5,8 @@ the solution position x and the region length L, all positions in [0, L), and
 returns (time to solution, finder id); grouped also takes the group size, and
 proportional takes no starts because its arcs fix them.  They share no code
 with the batch kernels in coopsearch.simulation.  The one-shot gap histogram and
-the recursive count vectors are the references for the row-block histogram and
-the stars-and-bars enumeration.
+the term-by-term sum over count vectors are the references for the row-block
+histogram and the depth-first walk in analytics.speed_sum_inverse_mean.
 """
 
 import math
@@ -165,10 +165,34 @@ def one_shot_length_pmf(L, m, trials, seed):
 
 
 def compositions(total: int, parts: int):
-    """Every `parts` non-negative counts that sum to `total`, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
+    """Every `parts` non-negative counts that sum to `total`, in lexicographic order.
+
+    A vector is its leading zeros, its first nonzero count and the rest, and more
+    leading zeros come first, so the recursion is one level per nonzero count, not
+    one per part: a law of thousands of atoms at small `total` stays shallow.
+    """
+    if total == 0:
+        yield (0,) * parts
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for zeros in reversed(range(parts)):
+        for head in range(1, total + 1):
+            for rest in compositions(total - head, parts - zeros - 1):
+                yield (0,) * zeros + (head,) + rest
+
+
+def speed_sum_inverse_mean(speed_atoms, n):
+    """E[1/(v_1 + ... + v_n)] term by term: for each count vector, in lexicographic
+    order, its multinomial coefficient times the product of p**c over every atom,
+    over the fsum of c * v over every atom."""
+    speeds = [v for v, _ in speed_atoms]
+    masses = [p for _, p in speed_atoms]
+    acc = 0.0
+    for counts in compositions(n, len(speed_atoms)):
+        coef = 1
+        rem = n
+        for c in counts:
+            coef *= math.comb(rem, c)
+            rem -= c
+        prob = coef * math.prod(p**c for p, c in zip(masses, counts))
+        acc += prob / math.fsum(c * v for c, v in zip(counts, speeds))
+    return acc

@@ -88,6 +88,9 @@ def test_length_pmf_semi_equal_two_point_form():
     assert masses.tolist() == [6 / 10, 4 / 10]
     assert length_pmf_semi_equal(L, 16)[0].tolist() == [62.5]
     assert length_pmf_semi_equal(L, 1)[0].tolist() == [1000.0]
+    for m in (1, 10, 16):  # a numpy integer count, which has no bit_length, gives the same law
+        got, want = length_pmf_semi_equal(L, np.int64(m)), length_pmf_semi_equal(L, m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @given(st.integers(min_value=1, max_value=256))

@@ -1,5 +1,6 @@
 """Closed-form expected times against hand-computed oracles and identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coopsearch import analytics
 from coopsearch.allocation import length_pmf_equal, length_pmf_semi_equal, semi_equal_starts
 from coopsearch.analytics import (
     expected_time_independent,
@@ -191,14 +191,42 @@ def test_region_lengths_take_the_length_rule(length):
             call()
 
 
+def spread_law(atoms):
+    """`atoms` equally likely speeds 0.5, 0.75, 1.0, ..."""
+    return SpeedDistribution(tuple((0.5 + k / 4, 1 / atoms) for k in range(atoms)))
+
+
 @pytest.mark.parametrize("atoms", [1, 3, 5, 10])
 @pytest.mark.parametrize("n", [1, 2, 6])
-def test_enumeration_matches_recursive_oracle(atoms, n, monkeypatch):
-    law = SpeedDistribution(tuple((0.5 + k / 4, 1 / atoms) for k in range(atoms)))
-    assert list(analytics._count_vectors(n, atoms)) == list(oracles.compositions(n, atoms))
-    got = speed_sum_inverse_mean(law, n)
-    monkeypatch.setattr(analytics, "_count_vectors", oracles.compositions)
-    assert speed_sum_inverse_mean(law, n) == got  # the same terms in the same order
+def test_enumeration_matches_recursive_oracle(atoms, n):
+    law = spread_law(atoms)
+    # the same terms in the same order: bit for bit, not just close
+    assert speed_sum_inverse_mean(law, n) == oracles.speed_sum_inverse_mean(law.atoms, n)
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [
+        (spread_law(300), 2),
+        (spread_law(2000), 1),  # as deep a walk as atoms, far past the recursion limit
+        (SpeedDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12))), 32),  # its last terms underflow to 0
+        (SpeedDistribution.point_mass(1.5), 7),
+        # speeds and masses off the dyadic grid, where regrouping a term's products or
+        # its division, or summing its speed terms without fsum, moves the last bit
+        (MIXED, 3),
+        (SpeedDistribution(((0.3, 0.1), (0.7, 0.2), (1.1, 0.3), (2.9, 0.4))), 12),
+        (SpeedDistribution(((2.5, 0.25), (0.7, 0.25), (0.1, 0.5))), 4),
+    ],
+    ids=["300-atoms", "2000-atoms", "tiny-mass", "point-mass", "mixed", "irregular", "fsum"],
+)
+def test_enumeration_matches_oracle_on_edge_laws(law, n):
+    assert speed_sum_inverse_mean(law, n) == oracles.speed_sum_inverse_mean(law.atoms, n)
+
+
+@pytest.mark.parametrize("total, parts", [(0, 3), (1, 1), (3, 1), (4, 3), (5, 4), (2, 6)])
+def test_oracle_compositions_are_every_count_vector_in_order(total, parts):
+    every = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+    assert list(oracles.compositions(total, parts)) == every  # product runs in lexicographic order
 
 
 def test_speed_sum_inverse_mean_point_mass():

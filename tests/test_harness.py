@@ -17,6 +17,7 @@ from coopsearch.harness import (
     StrategySpec,
     SummaryStats,
     TrialPlan,
+    closed_form,
     compare_strategies,
     resolve_method,
     run_trials,
@@ -73,6 +74,18 @@ def test_plan_validation():
         plan(speeds=(1.0, 2.0))  # wrong length for m=10
     with pytest.raises(ValueError):
         plan(speeds=())
+
+
+@pytest.mark.parametrize("speeds", [MIXED, (0.5, 1.0, 1.0, 2.0, 1.375)], ids=["sampled", "fixed"])
+@pytest.mark.parametrize("allocation", ["random", "equal", "semi-equal"])
+def test_numpy_integer_counts_run_as_ints(allocation, speeds):
+    # the count rule takes numpy integers; a plan holding one once crashed in
+    # PCG64.advance on its stream skip, and the semi-equal closed form on bit_length
+    want = plan(5, ONE, allocation, speeds, trials=40_000, seed=3)
+    got = plan(np.int64(5), ONE, allocation, speeds, trials=np.int64(40_000), seed=3)
+    assert (type(got.num_agents), type(got.trials)) == (int, int)
+    assert repr(run_trials(got)) == repr(run_trials(want))  # same bits, same types
+    assert closed_form(got) == closed_form(want)
 
 
 def test_resolve_method():

@@ -1,6 +1,7 @@
 """Per-trial mechanics: worked examples, invariants, and scalar-vs-kernel agreement."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -454,6 +455,29 @@ def test_grouped_and_proportional_blocks_match_one_pass(m):
         assert np.array_equal(got, one_pass(partial(_grouped_block, n), starts, speeds, x))
     got = proportional_times(speeds, x, L)
     assert np.array_equal(got, one_pass(_proportional_block, None, speeds, x))
+
+
+@pytest.mark.parametrize("m", [16, 256])
+@pytest.mark.parametrize(
+    "kernel",
+    [one_directional_times, two_directional_times, lambda s, v, x, L: proportional_times(v, x, L)],
+    ids=["one-directional", "two-directional", "proportional"],
+)
+def test_kernel_call_allocates_its_work_pair_and_little_else(kernel, m):
+    # a call works in one reused pair of (rows, m) float arrays and fills its output;
+    # what a block allocates besides (the wrap's bool mask, proportional's row sums)
+    # stays under half a float block, so no block builds a (rows, m) float temporary
+    trials = 32768
+    rng = np.random.default_rng(m)
+    starts, speeds, x = rng.uniform(0, L, (trials, m)), rng.uniform(0.5, 2, (trials, m)), rng.uniform(0, L, trials)
+    block = next(_row_blocks(trials, m)).stop * m * 8
+    tracemalloc.start()
+    try:
+        kernel(starts, speeds, x, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block + trials * 8 + block / 2, (peak - 2 * block - trials * 8) / block
 
 
 @pytest.mark.parametrize("bad", [L, -1.0, np.nextafter(L, np.inf), np.nan, np.inf])
