@@ -82,10 +82,11 @@ def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
     """E[1 / (v_1 + ... + v_n)] for n independent draws from the speed law.
 
     Exact enumeration over count vectors; C(n + k - 1, k - 1) terms for k atoms.
-    More than _MAX_TERMS terms raises ValueError rather than run for hours.  One
-    depth-first walk extends each prefix of counts once for every term below it;
-    a prefix that has used all n draws is a term, since the atoms after it would
-    only multiply by p**0 = 1.0 and add 0.0 to the fsum.
+    More than _MAX_TERMS terms raises ValueError rather than run for hours, and so
+    does a term out of range for a float64.  One depth-first walk extends each
+    prefix of counts once for every term below it; a prefix that has used all n
+    draws is a term, since the atoms after it would only multiply by p**0 = 1.0 and
+    add 0.0 to the fsum.
     """
     _require_positive_int(n, "draw count")
     atoms = speed_pmf.atoms
@@ -100,7 +101,13 @@ def speed_sum_inverse_mean(speed_pmf: SpeedDistribution, n: int) -> float:
     while stack:
         i, rem, coef, prob, parts = stack.pop()
         if rem == 0:
-            acc += coef * prob / math.fsum(parts)
+            try:
+                acc += coef * prob / math.fsum(parts)
+            except OverflowError:  # a coefficient past 2**1024, or fsum's running sum
+                raise ValueError(
+                    f"E[1/sum(v)] for {n} draws of a {len(atoms)}-atom speed law has a term "
+                    "out of range for a float64"
+                ) from None
             continue
         v, p = atoms[i]
         low = rem if i == len(atoms) - 1 else 0  # the last atom takes every draw left

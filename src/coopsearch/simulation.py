@@ -2,7 +2,7 @@
 
 Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
-share one driver, which checks the batch and runs the formula in row order per
+share one batch check and one driver, which runs the formula in row order per
 block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
 pair of (rows, m) float arrays; the (rows, m) temporaries a block still allocates
 are _wrap's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
@@ -10,6 +10,14 @@ fixed cost per row when it reduces along a short row, so a row of at most
 _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group starts at
 or before x, a column at a time, and so does the sum of a row of at most
 _SUM_SWEEP_COLUMNS speeds.
+
+When every agent views one positive speed v (all strides 0: a point-mass law or one
+fixed speed), the one-directional kernel takes each trial's least wrapped offset
+first, then clamps it below L and divides it by v once.  Both steps are monotone,
+so they commute with the minimum, and no offset is -0.0, so the bits are the general
+path's; a negative speed reverses the order and takes the general path.  On a start
+row that every trial shares, the least offset is the one back to the last start at
+or before x, so no (rows, m) array is built.
 
 The grouped kernel sorts each row's starts with the default sort, and only rows
 with a tie sort again, stably, because the stable order is the contract.  Each
@@ -58,10 +66,10 @@ def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
         raise ValueError(f"{what} outside [0, {length})")
 
 
-def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
-    """Check a batch, then fill one time per trial by `block(s, v, x, length, work, out)`
-    per row block, `work` a pair of (rows, m) arrays; `starts` is None for a kernel that
-    places its own."""
+def _check_batch(starts, speeds, x: np.ndarray, length: float) -> None:
+    """Check a batch's shapes, its solution positions and a start row that every trial
+    shares; `starts` is None for a kernel that places its own, and drawn starts are
+    checked per block as _run_blocks reads them."""
     if len(speeds.shape) != 2 or (starts is not None and starts.shape != speeds.shape):
         shapes = speeds.shape if starts is None else (starts.shape, speeds.shape)
         raise ValueError(f"starts/speeds must share shape (trials, m), got {shapes}")
@@ -70,10 +78,21 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
         raise ValueError(f"x must have shape ({trials},), got {x.shape}")
     _require_finite_positive(length, "region length")
     _require_in_region(x, length, "solution positions")
-    # fixed starts arrive as one broadcast row, checked once; drawn starts per block
-    broadcast = isinstance(starts, np.ndarray) and starts.strides[0] == 0
-    if broadcast:
+    if _is_row(starts):
         _require_in_region(starts[:1], length, "agent starts")
+
+
+def _is_row(a) -> bool:
+    """Whether `a` is one row that every trial shares, a stride-0 broadcast: fixed starts."""
+    return isinstance(a, np.ndarray) and a.strides[0] == 0
+
+
+def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
+    """Fill one time per trial of a checked batch by `block(s, v, x, length, work, out)`
+    per row block, `work` a pair of (rows, m) arrays; `starts` is None for a kernel that
+    places its own."""
+    trials, m = speeds.shape
+    drawn = starts is not None and not _is_row(starts)
     blocks = list(_row_blocks(trials, m))
     # work arrays per call, not per block: a block's (rows, m) temporaries freed on
     # return are handed back to the OS and faulted in again for the next block
@@ -83,17 +102,22 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
         s = None
         if starts is not None:
             s = starts[rows]
-            if not broadcast:
+            if drawn:
                 _require_in_region(s, length, "agent starts")
         block(s, speeds[rows], x[rows], length, work[:, : rows.stop - rows.start], out[rows])
     return out
 
 
-def _wrap(d: np.ndarray, length: float, scratch: np.ndarray | None = None) -> None:
-    """`d % length` in place, bit for bit, for |d| < length, with `scratch` (d's shape)
-    for the offsets.  d + length can round up to length, which the clamp turns into
-    the largest offset below it."""
+def _lift(d: np.ndarray, length: float, scratch: np.ndarray | None = None) -> None:
+    """d + length where d < 0, in place, with `scratch` (d's shape) for the offsets; the
+    rest gain 0.0, which turns -0.0 into 0.0."""
     d += np.multiply(length, d < 0, out=scratch)
+
+
+def _wrap(d: np.ndarray, length: float, scratch: np.ndarray | None = None) -> None:
+    """`d % length` in place, bit for bit, for |d| < length.  d + length can round up to
+    length, which the clamp turns into the largest offset below it."""
+    _lift(d, length, scratch)
     np.minimum(d, np.nextafter(length, 0.0), out=d)
 
 
@@ -103,6 +127,37 @@ def _one_directional_block(s, v, x, length, work, out) -> None:
     _wrap(d, length, e)
     d /= v
     _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
+
+
+def _lifted_min_block(s, _, x, length, work, out) -> None:
+    # each row's least offset back to a start, lifted but not yet clamped
+    d, e = work
+    np.subtract(x[:, None], s, out=d)
+    _lift(d, length, e)
+    _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
+
+
+def _lifted_min_row(row: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
+    """_lifted_min_block's minima for a start row that every trial shares: the offset
+    back to the last start at or before x, wrapping to the largest start when there is
+    none.  That offset is at most x, and a start s ahead of x lifts to at least x: s < L
+    leaves room for x - s's rounding error, so fl(fl(x - s) + L) >= x."""
+    srt = np.sort(row)
+    # counts in the narrowest integer type that holds m, which streams less memory
+    behind = np.greater_equal(x, srt[0], out=np.empty(len(x), np.min_scalar_type(len(row))))
+    for s in srt[1:]:
+        behind += x >= s
+    # behind[i] starts lie at or before x[i], so srt[behind[i] - 1] is the last of them
+    d = np.subtract(x, np.take(np.concatenate((srt[-1:], srt)), behind))
+    _lift(d, length)
+    return d
+
+
+def _shared_speed(speeds):
+    """The one speed that every agent views (all strides 0), if it is positive, else None."""
+    if isinstance(speeds, np.ndarray) and speeds.size and not any(speeds.strides) and speeds[0, 0] > 0:
+        return speeds[0, 0]
+    return None
 
 
 def _two_directional_block(s, v, x, length, work, out) -> None:
@@ -165,7 +220,17 @@ def one_directional_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
-    return _run_blocks(_one_directional_block, starts, speeds, x, length)
+    _check_batch(starts, speeds, x, length)
+    v = _shared_speed(speeds)
+    if v is None:
+        return _run_blocks(_one_directional_block, starts, speeds, x, length)
+    if _is_row(starts):
+        out = _lifted_min_row(starts[0], x, length)
+    else:
+        out = _run_blocks(_lifted_min_block, starts, speeds, x, length)
+    np.minimum(out, np.nextafter(length, 0.0), out=out)
+    out /= v
+    return out
 
 
 def two_directional_times(
@@ -175,6 +240,7 @@ def two_directional_times(
 
     Starts and solution positions must lie in [0, length), else ValueError.
     """
+    _check_batch(starts, speeds, x, length)
     return _run_blocks(_two_directional_block, starts, speeds, x, length)
 
 
@@ -188,6 +254,7 @@ def grouped_times(
     _require_positive_int(group_size, "group size")
     if group_size > speeds.shape[-1]:
         raise ValueError(f"group size {group_size} out of range for {speeds.shape[-1]} agents")
+    _check_batch(starts, speeds, x, length)
     return _run_blocks(partial(_grouped_block, group_size), starts, speeds, x, length)
 
 
@@ -197,4 +264,5 @@ def proportional_times(speeds: np.ndarray, x: np.ndarray, length: float) -> np.n
 
     Solution positions must lie in [0, length), else ValueError.
     """
+    _check_batch(None, speeds, x, length)
     return _run_blocks(_proportional_block, None, speeds, x, length)

@@ -162,6 +162,25 @@ def test_speed_sum_inverse_mean_refuses_huge_enumeration():
         speed_sum_inverse_mean(law, 32)
 
 
+@pytest.mark.parametrize(
+    "law, n",
+    [
+        (SpeedDistribution(((0.5, 0.5), (1.0, 0.5))), 1100),  # C(1100, 550) > 2**1024
+        (SpeedDistribution(((1e308, 0.5), (1.5e308, 0.5))), 2),  # fsum of 1e308 + 1.5e308
+    ],
+)
+def test_speed_sum_inverse_mean_out_of_float_range(law, n):
+    # a term that overflows a float is a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="out of range for a float64"):
+        speed_sum_inverse_mean(law, n)
+
+
+def test_speed_sum_inverse_mean_largest_coefficient_in_range():
+    # n = 1029 is the last count whose every C(n, k) converts to a float
+    law = SpeedDistribution(((0.5, 0.5), (1.0, 0.5)))
+    assert speed_sum_inverse_mean(law, 1029) == oracles.speed_sum_inverse_mean(law.atoms, 1029)
+
+
 @pytest.mark.parametrize("count", [0, 2.5, True])
 def test_counts_are_positive_integers(count):
     # a float or bool count once ran, or failed with TypeError deep in the enumeration

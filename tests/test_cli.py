@@ -355,6 +355,16 @@ def test_huge_closed_form_enumeration_exits_2(capsys, monkeypatch):
     assert "usage: coopsearch sweep" in err and "error:" in err
 
 
+def test_closed_form_enumeration_out_of_float_range_exits_2(capsys):
+    # C(1100, 550) passes 2**1024, far under the term cap: once an OverflowError traceback
+    argv = ["expected", "--strategy", "proportional", "--agents", "1100", "--speeds", "0.5:0.5,1.0:0.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: coopsearch expected" in captured.err and "out of range for a float64" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("length", ["1e300", "1e13", "1000001"])
 def test_histogram_past_bin_budget_exits_2(length, capsys):
     tracemalloc.start()

@@ -3,12 +3,13 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from coopsearch import harness, model
+from coopsearch import harness, model, simulation
 from coopsearch.allocation import semi_equal_starts
 from coopsearch.analytics import expected_time_random_starts
 from coopsearch.harness import (
@@ -291,6 +292,31 @@ def test_fixed_speed_equals_point_mass_distribution():
     a = run_trials(plan(m=8, allocation="random", speeds=(2.0,), trials=30_000))
     b = run_trials(plan(m=8, allocation="random", speeds=SpeedDistribution.point_mass(2.0), trials=30_000))
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("allocation", ["equal", "semi-equal", "random"])
+def test_shared_speed_path_matches_per_agent_speeds(allocation, workers, monkeypatch):
+    # one shared speed reaches the kernel as an all-stride-0 broadcast and takes its own
+    # path; the same speed once per agent is a stride-8 row and takes the general one
+    taken = []
+    shared_speed = simulation._shared_speed
+
+    def recording(speeds):
+        taken.append(shared_speed(speeds))
+        return taken[-1]
+
+    monkeypatch.setattr(simulation, "_shared_speed", recording)
+    for m in (2, 7, 33):
+        for v in (1.375, 0.1):
+            base = plan(m=m, allocation=allocation, trials=40_000, seed=m)
+            taken.clear()
+            want = repr(run_trials(replace(base, speeds=(v,) * m), workers))
+            assert taken == [None, None]  # 40,000 trials are 2 chunks
+            for speeds in ((v,), SpeedDistribution.point_mass(v)):
+                taken.clear()
+                assert repr(run_trials(replace(base, speeds=speeds), workers)) == want, (m, v, speeds)
+                assert taken == [v, v]
 
 
 def test_proportional_plan():

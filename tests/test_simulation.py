@@ -357,6 +357,47 @@ def test_one_directional_kernel_bit_identical(m):
     assert np.array_equal(got, one_directional_oracle(fixed, unit, x, L))
 
 
+def same_bits(got, want):
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", AGENT_COUNTS)
+def test_one_directional_shared_speed_bit_identical(m):
+    # one speed for every agent (all strides 0) divides each trial's least offset once;
+    # a start row that every trial shares finds that offset without a (trials, m) array
+    starts, _, x = adversarial_batch(m, seed=500 + m)
+    starts[:2, 0], x[:2] = 0.0, -0.0  # x - start is -0.0, which the wrap makes 0.0
+    rng = np.random.default_rng(m)
+    rows = {
+        "equal": np.arange(m) * (L / m),
+        "semi-equal": np.array(semi_equal_starts(L, m)),
+        "shuffled": rng.permutation(rng.uniform(0, L, m)),
+        "tied": np.resize([2.0, 0.0, 2.0, 1.0, 0.0], m) * (L / 3),
+        "zero": np.resize([-0.0, 0.0, L / 2, 0.0, -0.0], m),
+    }
+    speeds = (1.0, 1.375, 0.1, 3.0, -1.0)  # a negative speed takes the general path
+    for v in speeds:
+        shared = np.broadcast_to(np.float64(v), starts.shape)
+        got = one_directional_times(starts, shared, x, L)
+        assert same_bits(got, one_directional_oracle(starts, shared, x, L)), ("random", v)
+    for name, row in rows.items():
+        # x on each start, one ulp either side of it, one ulp below L, and -0.0
+        planted = [row, np.nextafter(row, 0.0), np.nextafter(row, L), [np.nextafter(L, 0.0), -0.0]]
+        on_row = np.concatenate([x, *planted])
+        fixed = np.broadcast_to(row, (len(on_row), m))
+        for v in speeds:
+            shared = np.broadcast_to(np.float64(v), fixed.shape)
+            got = one_directional_times(fixed, shared, on_row, L)
+            assert same_bits(got, one_directional_oracle(fixed, shared, on_row, L)), (name, v)
+
+
+def test_one_directional_shared_speed_empty_batch():
+    got = one_directional_times(np.empty((0, 3)), np.broadcast_to(1.0, (0, 3)), np.empty(0), L)
+    assert got.shape == (0,)
+    row = np.broadcast_to(np.arange(3.0), (0, 3))
+    assert one_directional_times(row, np.broadcast_to(1.0, (0, 3)), np.empty(0), L).shape == (0,)
+
+
 @pytest.mark.parametrize("m", AGENT_COUNTS)
 def test_two_directional_kernel_bit_identical(m):
     starts, speeds, x = adversarial_batch(m, seed=100 + m)
@@ -431,9 +472,6 @@ def test_grouped_kernel_bit_identical(m):
     zero_row = np.broadcast_to(np.resize([-0.0, 0.0, L / 2, 0.0, -0.0], m), starts.shape)
     # a Fortran-ordered batch is read in its logical row order
     f_starts, f_speeds = np.asfortranarray(starts), np.asfortranarray(speeds)
-
-    def same_bits(got, want):
-        return np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     # group sizes on both sides of the width-8 switch in the sum, ragged or not
     for n in range(1, min(m, 12) + 1):
