@@ -316,10 +316,9 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
 
     x = _chunk_rng(plan, chunk_index, drawn).uniform(0.0, L, count)
 
-    times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
-    with np.errstate(over="ignore"):  # run_trials rejects squares out of range
-        total_sq = float(np.sum(times * times))
-    return float(np.sum(times)), total_sq, float(times.min()), float(times.max())
+    with np.errstate(over="ignore"):  # run_trials rejects times and squares out of range
+        times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
+        return float(np.sum(times)), float(np.sum(times * times)), float(times.min()), float(times.max())
 
 
 def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:

@@ -56,10 +56,14 @@ def _require_positive_int(value, name: str) -> None:
 
 
 def _require_finite_positive(value, name: str) -> None:
-    """The one rule for a length or a speed: finite, normal and positive, and not a bool.
-    A subnormal L fails because uniform(0, L) = L * u can round up to L."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value >= sys.float_info.min):
-        raise ValueError(f"{name} must be finite, positive and not subnormal, got {value!r}")
+    """The one rule for a length or a speed: finite, above the smallest normal float, and
+    not a bool.  A draw uniform(0, L) = L * u, u <= 1 - 2**-53, must stay below L: at a
+    subnormal L, and at the smallest normal one, it can round up to L."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > sys.float_info.min):
+        raise ValueError(
+            f"{name} must be finite and above {sys.float_info.min!r}, so that a draw L * u "
+            f"stays below L, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
-share one batch check and one driver, which runs the formula in row order per
+share one batch check, made once at entry (drawn starts are L * u with u < 1, in
+[0, L) by construction), and one driver, which only runs the formula in row order per
 block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
 pair of (rows, m) float arrays; the (rows, m) temporaries a block still allocates
 are _wrap's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
@@ -12,12 +13,12 @@ or before x, a column at a time, and so does the sum of a row of at most
 _SUM_SWEEP_COLUMNS speeds.
 
 When every agent views one positive speed v (all strides 0: a point-mass law or one
-fixed speed), the one-directional kernel takes each trial's least wrapped offset
-first, then clamps it below L and divides it by v once.  Both steps are monotone,
-so they commute with the minimum, and no offset is -0.0, so the bits are the general
-path's; a negative speed reverses the order and takes the general path.  On a start
-row that every trial shares, the least offset is the one back to the last start at
-or before x, so no (rows, m) array is built.
+fixed speed), the one-directional block takes each trial's least lifted offset
+first, and the kernel clamps it below L and divides it by v once.  Both steps are
+monotone, so they commute with the minimum, and no offset is -0.0, so the bits are
+the general path's; a negative speed reverses the order and takes the general path.
+On a start row that every trial shares, the least offset is the one back to the last
+start at or before x, so no (rows, m) array is built.
 
 The grouped kernel sorts each row's starts with the default sort, and only rows
 with a tie sort again, stably, because the stable order is the contract.  Each
@@ -67,9 +68,10 @@ def _require_in_region(a: np.ndarray, length: float, what: str) -> None:
 
 
 def _check_batch(starts, speeds, x: np.ndarray, length: float) -> None:
-    """Check a batch's shapes, its solution positions and a start row that every trial
-    shares; `starts` is None for a kernel that places its own, and drawn starts are
-    checked per block as _run_blocks reads them."""
+    """Check a batch's shapes, its solution positions and its starts: an array whole, a
+    row that every trial shares by that row, and drawn starts not at all, since L * u < L
+    for u < 1 at every length the rule admits; `starts` is None for a kernel that places
+    its own."""
     if len(speeds.shape) != 2 or (starts is not None and starts.shape != speeds.shape):
         shapes = speeds.shape if starts is None else (starts.shape, speeds.shape)
         raise ValueError(f"starts/speeds must share shape (trials, m), got {shapes}")
@@ -78,8 +80,8 @@ def _check_batch(starts, speeds, x: np.ndarray, length: float) -> None:
         raise ValueError(f"x must have shape ({trials},), got {x.shape}")
     _require_finite_positive(length, "region length")
     _require_in_region(x, length, "solution positions")
-    if _is_row(starts):
-        _require_in_region(starts[:1], length, "agent starts")
+    if isinstance(starts, np.ndarray):
+        _require_in_region(starts[:1] if _is_row(starts) else starts, length, "agent starts")
 
 
 def _is_row(a) -> bool:
@@ -92,18 +94,13 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
     per row block, `work` a pair of (rows, m) arrays; `starts` is None for a kernel that
     places its own."""
     trials, m = speeds.shape
-    drawn = starts is not None and not _is_row(starts)
     blocks = list(_row_blocks(trials, m))
     # work arrays per call, not per block: a block's (rows, m) temporaries freed on
     # return are handed back to the OS and faulted in again for the next block
     work = np.empty((2, blocks[0].stop if blocks else 0, m))
     out = np.empty(trials)
     for rows in blocks:
-        s = None
-        if starts is not None:
-            s = starts[rows]
-            if drawn:
-                _require_in_region(s, length, "agent starts")
+        s = None if starts is None else starts[rows]
         block(s, speeds[rows], x[rows], length, work[:, : rows.stop - rows.start], out[rows])
     return out
 
@@ -121,24 +118,21 @@ def _wrap(d: np.ndarray, length: float, scratch: np.ndarray | None = None) -> No
     np.minimum(d, np.nextafter(length, 0.0), out=d)
 
 
-def _one_directional_block(s, v, x, length, work, out) -> None:
+def _one_directional_block(s, v, x, length, work, out, shared=False) -> None:
+    # `shared`: every agent has one speed, so the offsets are only lifted, and the
+    # caller clamps each row's minimum and divides it by that speed once
     d, e = work
     np.subtract(x[:, None], s, out=d)
-    _wrap(d, length, e)
-    d /= v
-    _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
-
-
-def _lifted_min_block(s, _, x, length, work, out) -> None:
-    # each row's least offset back to a start, lifted but not yet clamped
-    d, e = work
-    np.subtract(x[:, None], s, out=d)
-    _lift(d, length, e)
+    if shared:
+        _lift(d, length, e)
+    else:
+        _wrap(d, length, e)
+        d /= v
     _reduce_rows(np.minimum, d, out, _SWEEP_COLUMNS)
 
 
 def _lifted_min_row(row: np.ndarray, x: np.ndarray, length: float) -> np.ndarray:
-    """_lifted_min_block's minima for a start row that every trial shares: the offset
+    """The shared-speed block's minima for a start row that every trial shares: the offset
     back to the last start at or before x, wrapping to the largest start when there is
     none.  That offset is at most x, and a start s ahead of x lifts to at least x: s < L
     leaves room for x - s's rounding error, so fl(fl(x - s) + L) >= x."""
@@ -227,7 +221,7 @@ def one_directional_times(
     if _is_row(starts):
         out = _lifted_min_row(starts[0], x, length)
     else:
-        out = _run_blocks(_lifted_min_block, starts, speeds, x, length)
+        out = _run_blocks(partial(_one_directional_block, shared=True), starts, speeds, x, length)
     np.minimum(out, np.nextafter(length, 0.0), out=out)
     out /= v
     return out

@@ -101,6 +101,9 @@ USAGE_ERRORS = [
         # a subnormal length: its uniform(0, L) = L * u draws round up to L
         ["simulate", "--agents", "3", "--region-length", "5e-324"],
         ["pl-hist", "--agents", "2", "--region-length", "5e-324"],
+        # the smallest normal float: L * u rounds up to L there too
+        ["simulate", "--agents", "3", "--region-length", "2.2250738585072014e-308"],
+        ["simulate", "--agents", "3", "--speeds", "2.2250738585072014e-308"],
     ],
 )
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
@@ -383,14 +386,25 @@ def test_histogram_past_bin_budget_exits_2(length, capsys):
 
 @pytest.mark.parametrize(
     "extreme",
-    [["--region-length", "1e200"], ["--speeds", "1e-300"], ["--region-length", "1e-200"]],
+    [
+        ["--region-length", "1e200"],
+        ["--speeds", "1e-300"],
+        ["--region-length", "1e-200"],
+        # the times themselves overflow, in the kernel's divide and in their sum
+        ["--speeds", "1e-306"],
+        ["--region-length", "1e306", "--speeds", "1e-3"],
+        ["--strategy", "grouped-2", "--speeds", "1e-306"],
+        ["--strategy", "proportional", "--speeds", "1e-306"],
+    ],
 )
 def test_times_whose_squares_leave_float_range_exit_1(capsys, extreme):
-    # the squared times overflow or underflow, so no standard error can be given
+    # the squared times overflow or underflow, so no standard error can be given; the
+    # error line is all that is printed, with no numpy warning before it
     assert main(["simulate", "--agents", "3", "--trials", "10", *extreme]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and "out of range" in captured.err
+    assert captured.err.startswith("error:") and "out of range" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_expected_evaluates_each_closed_form_once(monkeypatch, capsys):

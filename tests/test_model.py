@@ -1,6 +1,7 @@
 """Core value types: wrap distance, region and speed-law validation, the speed draw."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,9 +47,19 @@ def test_wrap_distances_complement(a, b):
 
 
 def test_region_validation():
-    for bad in (0.0, -1.0, math.inf, math.nan, True, np.True_):
+    # the smallest normal length is refused: L * u rounds up to L there
+    for bad in (0.0, -1.0, math.inf, math.nan, True, np.True_, sys.float_info.min):
         with pytest.raises(ValueError):
             RegionSpec(bad)
+
+
+def test_draws_stay_below_every_admitted_length():
+    # a drawn start or x is L * u with u <= 1 - 2**-53, so the kernels need not check it
+    top, least = np.nextafter(1.0, 0.0), np.nextafter(sys.float_info.min, np.inf)
+    for length in (least, 2.0**-1021, 1.0, 1000.0, 1024.0, sys.float_info.max):
+        RegionSpec(float(length))
+        assert length * top < length
+    assert sys.float_info.min * top == sys.float_info.min
 
 
 MIXED = SpeedDistribution(((0.5, 0.3), (1.0, 0.3), (1.375, 0.4)))
@@ -76,6 +87,8 @@ def test_speed_distribution_validation():
         SpeedDistribution(((1.0, 0.5), (1.0, 0.5)))  # duplicate atom
     with pytest.raises(ValueError):
         SpeedDistribution(((0.0, 1.0),))
+    with pytest.raises(ValueError, match="below L"):
+        SpeedDistribution.point_mass(sys.float_info.min)  # the length rule
     with pytest.raises(ValueError):
         SpeedDistribution(((1.0, 0.0), (2.0, 1.0)))  # zero mass atom
     for flag in (True, np.True_):  # a speed or a mass is a number, and a bool is not one
