@@ -1,6 +1,6 @@
-"""Core value types: the circular region and the agents' speed law, and the row blocks
-that the batch kernels, the random starts and the sampled speeds share: the starts and
-the speeds are drawn rows, read in row order, a row block per draw as a kernel reads it."""
+"""Core value types: the circular region and the agents' speed law, and what the kernels
+and the draws share: row blocks, drawn rows that are read a row block per draw in row
+order, and _step, the one edge-count lookup behind the speed draw and a shared start row."""
 
 from __future__ import annotations
 
@@ -41,6 +41,20 @@ class _DrawnRows:
             self._buf = np.empty((count, self.shape[1]))
         self._fill(self._rng.random(out=self._buf[:count].reshape(-1)))
         return self._buf[:count]
+
+
+def _step(edges: np.ndarray, levels: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
+    """`levels[k]`, k the count of the ascending `edges` at or below each value, which is
+    `levels[edges.searchsorted(values, "right")]` by one pass per edge, with no search;
+    the counts take the narrowest type that holds len(edges), which streams less memory."""
+    k = np.empty(values.shape, np.min_scalar_type(len(edges)))
+    if len(edges):  # the first pass writes every count, so none is zeroed before it
+        np.greater_equal(values, edges[0], out=k)
+    for edge in edges[1:]:
+        np.add(k, values >= edge, out=k)
+    # a count is a valid index, so "clip" only skips the bounds check; with no edges, k
+    # is left unwritten, and "clip" maps every entry to 0, the one level there is
+    return np.take(levels, k, out=out, mode="clip")
 
 
 def _drawn_starts(rng: np.random.Generator, length: float, shape: tuple[int, int]) -> _DrawnRows:
@@ -118,26 +132,14 @@ class SpeedDistribution:
         `rng.choice(self.speeds, shape, p=self.masses)`, and after the last row `rng` is
         where `choice` leaves it.
 
-        Like `choice`, this inverts the normalized cdf at `rng.random` draws, and it
-        finds each index by counting the cdf edges at or below u, which is
-        `cdf.searchsorted(u, "right")` without the search.
+        Like `choice`, this inverts the normalized cdf at `rng.random` draws u: a read
+        maps its u in place by _step, the shared edge-count lookup, over the cdf's edges
+        but the last (u < 1 == cdf[-1], so it never counts).  That is one pass per edge,
+        so a k-atom law makes k - 1 passes over each block.
         """
-        cdf = self.masses.cumsum()
+        cdf, speeds = self.masses.cumsum(), self.speeds
         cdf /= cdf[-1]
-        speeds = self.speeds
-        # a read's counts, in the narrowest integer type, which streams less memory
-        counts = np.empty(0, np.min_scalar_type(len(cdf) - 1))
-
-        def fill(u: np.ndarray) -> None:
-            nonlocal counts  # grown to the largest read, so a block allocates nothing
-            counts = counts if counts.size >= u.size else np.empty(u.size, counts.dtype)
-            idx = np.greater_equal(u, cdf[0], out=counts[: u.size])
-            for edge in cdf[1:-1]:  # u < 1 == cdf[-1], so the last edge never counts
-                np.add(idx, u >= edge, out=idx)
-            # every count is a valid index, so "clip" only skips the bounds check
-            np.take(speeds, idx, out=u, mode="clip")
-
-        return _DrawnRows(rng, shape, fill)
+        return _DrawnRows(rng, shape, lambda u: _step(cdf[:-1], speeds, u, out=u))
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1

@@ -6,7 +6,7 @@ share one batch check, made once at entry (drawn starts are L * u with u < 1, in
 [0, L) by construction), and one driver, which only runs the formula in row order per
 block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
 pair of (rows, m) float arrays; the (rows, m) temporaries a block still allocates
-are _wrap's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
+are _lift's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
 fixed cost per row when it reduces along a short row, so a row of at most
 _SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group starts at
 or before x, a column at a time, and so does the sum of a row of at most
@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import _require_finite_positive, _require_positive_int, _row_blocks
+from .model import _require_finite_positive, _require_positive_int, _row_blocks, _step
 
 # rows of at most this many entries take their minimum, and grouped counts its
 # boundaries at or before x, a column at a time
@@ -137,12 +137,9 @@ def _lifted_min_row(row: np.ndarray, x: np.ndarray, length: float) -> np.ndarray
     none.  That offset is at most x, and a start s ahead of x lifts to at least x: s < L
     leaves room for x - s's rounding error, so fl(fl(x - s) + L) >= x."""
     srt = np.sort(row)
-    # counts in the narrowest integer type that holds m, which streams less memory
-    behind = np.greater_equal(x, srt[0], out=np.empty(len(x), np.min_scalar_type(len(row))))
-    for s in srt[1:]:
-        behind += x >= s
-    # behind[i] starts lie at or before x[i], so srt[behind[i] - 1] is the last of them
-    d = np.subtract(x, np.take(np.concatenate((srt[-1:], srt)), behind))
+    # with k starts at or before x, the last of them is srt[k - 1], and k = 0 wraps to srt[-1]
+    d = _step(srt, np.concatenate((srt[-1:], srt)), x)
+    np.subtract(x, d, out=d)
     _lift(d, length)
     return d
 

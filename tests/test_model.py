@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution, _step
 from coopsearch.simulation import one_directional_times
 
 L = 1000.0
@@ -111,6 +111,8 @@ def test_speed_distribution_sampling():
 
 TEN_ATOMS = SpeedDistribution(tuple((0.25 * (i + 1), 0.1) for i in range(10)))
 TINY_MASS = SpeedDistribution(((1.0, 1.0 - 1e-12), (2.0, 1e-12)))
+# the largest count of cdf edges at or below u is 255 and 256, either side of the 8-bit limit
+WIDE_LAWS = [SpeedDistribution(tuple((0.5 + i / 256, 1 / k) for i in range(k))) for k in (256, 257)]
 
 
 # m = 256 as in a wide chunk: 24 whole kernel row blocks and a ragged 25th
@@ -118,7 +120,9 @@ MULTI_BLOCK = (24 * (_BLOCK_ENTRIES // 256) + 5, 256)
 
 
 @pytest.mark.parametrize(
-    "law", [SpeedDistribution.point_mass(1.5), MIXED, TEN_ATOMS, TINY_MASS], ids=["1", "3", "10", "tiny"]
+    "law",
+    [SpeedDistribution.point_mass(1.5), MIXED, TEN_ATOMS, TINY_MASS, *WIDE_LAWS],
+    ids=["1", "3", "10", "tiny", "256", "257"],
 )
 @pytest.mark.parametrize(
     "size",
@@ -145,3 +149,22 @@ def test_speed_sample_follows_choice_stream(law, size):
         got = np.concatenate([source[rows].copy() for rows in reads])
         assert np.array_equal(got, want)
         assert rng.random() == after
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[], [0.5], [0.25, 0.5, 0.5, 0.75], [-0.0, 0.0, 0.0], np.arange(255) / 256, np.arange(256) / 256],
+    ids=["none", "one", "tied", "zeros", "255", "256"],
+)
+def test_step_is_levels_at_searchsorted(edges):
+    # values on each edge, one ulp either side of it, below the first and above the last;
+    # 255 and 256 edges put the largest count either side of the 8-bit limit
+    edges = np.asarray(edges, dtype=float)
+    ends = [edges.min(initial=0.0) - 1.0, edges.max(initial=0.0) + 1.0, -np.inf, np.inf]
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), ends])
+    levels = np.arange(len(edges) + 1) * 1.5 - 2.0
+    want = levels[np.searchsorted(edges, values, "right")]
+    assert np.array_equal(_step(edges, levels, values), want)
+    out = values.copy()
+    assert _step(edges, levels, out, out=out) is out
+    assert np.array_equal(out, want)

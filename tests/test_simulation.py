@@ -331,9 +331,11 @@ def adversarial_batch(m, seed):
 
 
 # both sides of the column-sweep cutoffs: sums (_SUM_SWEEP_COLUMNS = 7), and minima
-# and grouped owner counts (_SWEEP_COLUMNS = 32); at m = 3 the short tied row of
-# test_grouped_kernel_bit_identical is [2, 0, 2] * L / 3
-AGENT_COUNTS = [1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 32, 33, 256]
+# and grouped owner counts (_SWEEP_COLUMNS = 32); both sides of the 8-bit limit on a
+# shared start row's count of starts at or before x, at most 255 and at most 256 (x one
+# ulp below L); at m = 3 the short tied row of test_grouped_kernel_bit_identical is
+# [2, 0, 2] * L / 3
+AGENT_COUNTS = [1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 32, 33, 255, 256]
 
 
 @pytest.mark.parametrize("m", AGENT_COUNTS)
