@@ -1,4 +1,5 @@
-"""Region divisions: semi-equal boundary points and the subregion-length law of each division."""
+"""Region divisions: where each fixed division puts its agents, and the subregion-length
+law of each division.  Every fixed division is declared once, in _FIXED_DIVISIONS."""
 
 from __future__ import annotations
 
@@ -29,24 +30,18 @@ def _bin_count(region_length: float) -> int:
     return math.ceil(region_length)
 
 
-def semi_equal_starts(length: float, m: int) -> list[float]:
+def semi_equal_starts(length: float, m: int) -> np.ndarray:
     """Boundary points of the halving scheme: each new point bisects the earliest largest arc.
 
-    The first agent anchors at 0; level n contributes the odd multiples of L/2^n in
-    increasing order, until m points exist.  All points are exact binary fractions of L.
+    The first agent anchors at 0; level k contributes the odd multiples of L/2^k in
+    increasing order, until m points exist, so agent i >= 1 sits at (2i - 2^k + 1) L/2^k
+    with k the bit length of i.  All points are exact binary fractions of L.
     """
     _require_positive_int(m, "agent count")
     _require_finite_positive(length, "region length")
-    starts = [0.0]
-    level = 1
-    while len(starts) < m:
-        step = length / (2**level)
-        for j in range(2 ** (level - 1)):
-            if len(starts) == m:
-                break
-            starts.append((2 * j + 1) * step)
-        level += 1
-    return starts
+    i = np.arange(1, m)
+    scale = 2.0 ** np.frexp(i)[1]  # 2^k, k the bit length of i
+    return np.concatenate(([0.0], (2 * i - scale + 1) * (length / scale)))
 
 
 def length_pmf_equal(region_length: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +68,14 @@ def length_pmf_semi_equal(region_length: float, m: int) -> tuple[np.ndarray, np.
         np.array([region_length / 2**n, region_length / 2 ** (n + 1)]),
         np.array([long_count / m, short_count / m]),
     )
+
+
+# Each fixed division, declared once: name -> (its starts row (L, m) -> ndarray in agent
+# order, its length law (L, m) -> (lengths, masses)); the harness learns them only here.
+_FIXED_DIVISIONS = {
+    "equal": (lambda length, m: np.arange(m) * (length / m), length_pmf_equal),
+    "semi-equal": (semi_equal_starts, length_pmf_semi_equal),
+}
 
 
 def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.ndarray:

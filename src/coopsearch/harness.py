@@ -3,7 +3,9 @@
 Every strategy kind is declared once, in STRATEGIES: the allocations it runs on,
 its batch kernel, and its closed-form means.  Plan validation, `resolve_method` (the
 one reader of a method token), the kernel dispatch and `closed_form` all read that
-table.
+table.  Each fixed division is declared once, in `allocation._FIXED_DIVISIONS`: the
+sweep allocations, a chunk's fixed starts row and the one-directional closed forms on
+it read that table, so this module names no division of its own.
 
 Reproducibility contract: results are bit-identical for identical plans at any worker
 count.  Trials are processed in fixed-size chunks; chunk k of a plan draws from
@@ -31,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .allocation import length_pmf_equal, length_pmf_semi_equal, semi_equal_starts
+from .allocation import _FIXED_DIVISIONS
 from .analytics import (
     expected_time_independent,
     expected_time_proportional_resampled,
@@ -76,7 +78,7 @@ class StrategyKind:
     )
 
 
-_SWEEP_ALLOCATIONS = ("random", "equal", "semi-equal")
+_SWEEP_ALLOCATIONS = ("random", *_FIXED_DIVISIONS)
 
 # The kernels are looked up as module globals when a chunk runs, not captured here,
 # so a wrapper installed on this module's *_times names sees every call.
@@ -86,10 +88,10 @@ STRATEGIES = {
         lambda starts, speeds, x, L, spec: one_directional_times(starts, speeds, x, L),
         {
             "random": expected_time_random_starts,
-            "equal": lambda L, m, law: expected_time_independent(law, length_pmf_equal(L, m), m, L),
-            "semi-equal": lambda L, m, law: expected_time_independent(
-                law, length_pmf_semi_equal(L, m), m, L
-            ),
+            **{
+                name: lambda L, m, law, pmf=pmf: expected_time_independent(law, pmf(L, m), m, L)
+                for name, (_, pmf) in _FIXED_DIVISIONS.items()
+            },
         },
     ),
     "two-directional": StrategyKind(
@@ -286,14 +288,6 @@ def _chunk_rng(plan: TrialPlan, chunk_index: int, skip: int = 0) -> np.random.Ge
     return np.random.Generator(np.random.PCG64(ss).advance(skip))  # default_rng(ss), advanced
 
 
-def _fixed_starts(plan: TrialPlan) -> np.ndarray:
-    L = plan.region.length
-    m = plan.num_agents
-    if plan.allocation == "equal":
-        return np.arange(m) * (L / m)
-    return np.array(semi_equal_starts(L, m))
-
-
 def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float, float, float, float]:
     L = plan.region.length
     m = plan.num_agents
@@ -304,7 +298,7 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
     elif plan.allocation == "proportional":
         starts = None
     else:
-        starts = np.broadcast_to(_fixed_starts(plan), (count, m))
+        starts = np.broadcast_to(_FIXED_DIVISIONS[plan.allocation][0](L, m), (count, m))
 
     law = plan.speeds
     if isinstance(law, SpeedDistribution) and not law.is_degenerate():

@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 
 import oracles
 from coopsearch.allocation import (
+    _FIXED_DIVISIONS,
     estimate_length_pmf,
     length_pmf_equal,
     length_pmf_semi_equal,
     semi_equal_starts,
     spacing_pmf_oracle,
 )
-from coopsearch.harness import TrialPlan, _chunk_rng, _fixed_starts, resolve_method
+from coopsearch.harness import (
+    StrategySpec,
+    TrialPlan,
+    _chunk_rng,
+    closed_form,
+    resolve_method,
+    run_trials,
+)
 from coopsearch.model import _BLOCK_ENTRIES, RegionSpec
 from coopsearch.simulation import grouped_times, proportional_times
 
@@ -25,7 +33,8 @@ L = 1000.0
 
 
 def equal_starts(m):
-    return list(_fixed_starts(TrialPlan(R, m, *resolve_method("equal")[1:], (1.0,), 1)))
+    starts, _ = _FIXED_DIVISIONS["equal"]
+    return starts(L, m).tolist()
 
 
 def test_allocate_equal():
@@ -69,7 +78,47 @@ def test_semi_equal_starts_match_split_oracle():
 
 
 def test_semi_equal_starts_insertion_order():
-    assert semi_equal_starts(L, 6) == [0.0, 500.0, 250.0, 750.0, 125.0, 375.0]
+    assert semi_equal_starts(L, 6).tolist() == [0.0, 500.0, 250.0, 750.0, 125.0, 375.0]
+
+
+def _halving_loop_oracle(length: float, m: int) -> list[float]:
+    """The halving scheme level by level: level n appends (2j + 1) L/2^n for j = 0, 1, ..."""
+    starts = [0.0]
+    level = 1
+    while len(starts) < m:
+        step = length / (2**level)
+        for j in range(2 ** (level - 1)):
+            if len(starts) == m:
+                break
+            starts.append((2 * j + 1) * step)
+        level += 1
+    return starts
+
+
+@pytest.mark.parametrize("length", [1000.0, 0.1, 1 / 3, 12345.678901, 1e155, 1e300])
+def test_semi_equal_starts_match_halving_loop_bit_for_bit(length):
+    # the closed form forms the loop's product for each point, so every bit agrees,
+    # in insertion order, past the crossings of several powers of two
+    for m in [*range(1, 301), 1023, 1024, 1025, 4097]:
+        got = semi_equal_starts(length, m)
+        assert got.dtype == np.float64
+        assert got.tolist() == _halving_loop_oracle(length, m), f"L={length!r} m={m}"
+
+
+@pytest.mark.parametrize("name", list(_FIXED_DIVISIONS))
+def test_fixed_division_contract(name):
+    # a division declared in allocation runs one-directional on itself, its starts row
+    # realizes its length law, it has a closed form, and that form is the simulated
+    # mean: equal speeds never overtake
+    assert resolve_method(name) == (name, StrategySpec("one-directional"), name)
+    starts, length_pmf = _FIXED_DIVISIONS[name]
+    realized = Counter(oracles.successor_gaps(starts(L, 10).tolist(), L))  # 10: not 2^n
+    assert realized == {v: round(p * 10) for v, p in zip(*length_pmf(L, 10))}
+    plan = TrialPlan(R, 8, *resolve_method(name)[1:], (1.0,), 20_000)
+    want = closed_form(plan)
+    assert want is not None
+    stats = run_trials(plan)
+    assert abs(stats.mean - want) < 5 * stats.stderr, (name, stats, want)
 
 
 def test_semi_equal_lengths_match_pmf_exactly():
