@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .model import _drawn_starts, _require_finite_positive, _require_positive_int, _row_blocks
+from .model import _drawn_starts, _require_finite_positive, _require_positive_int, _row_blocks, _scratch
 
 __all__ = [
     "length_pmf_equal",
@@ -83,7 +83,7 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.n
 
     Starts come a row block at a time from one drawn start source, each block sorted
     in place; uniform draws fill in C order, so the histogram is the one a single
-    (trials, m) draw would give.
+    (trials, m) draw would give.  The gaps and their bins take the thread's "work" pair.
     """
     _require_positive_int(m, "agent count")
     _require_positive_int(trials, "trials")
@@ -93,11 +93,12 @@ def estimate_length_pmf(region_length: float, m: int, trials: int, seed) -> np.n
     for rows in _row_blocks(trials, m):
         s = starts[rows]
         s.sort(axis=1)
-        gaps = np.empty_like(s)
-        gaps[:, :-1] = np.diff(s, axis=1)
+        gaps, idx = _scratch("work", 2, *s.shape)
+        idx = idx.view(np.int64)
+        np.subtract(s[:, 1:], s[:, :-1], out=gaps[:, :-1])
         gaps[:, -1] = region_length - s[:, -1] + s[:, 0]
-        idx = np.clip(np.floor(gaps).astype(np.int64), 0, nbins - 1)
-        counts += np.bincount(idx.ravel(), minlength=nbins)
+        np.copyto(idx, np.floor(gaps, out=gaps), casting="unsafe")
+        counts += np.bincount(np.clip(idx, 0, nbins - 1, out=idx).ravel(), minlength=nbins)
     return counts / counts.sum()
 
 

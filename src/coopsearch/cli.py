@@ -9,6 +9,7 @@ not affect content).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -189,6 +190,7 @@ OPTIONS = (
 )
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was built
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopsearch",

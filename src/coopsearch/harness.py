@@ -15,7 +15,8 @@ starts, sampled speeds and solution positions, in that order.  The kernel loop r
 the starts and the speeds as drawn rows, in row order, a row block per draw, so no
 (trials, m) array is built: the starts from the chunk's generator and the speeds from
 one advanced past them; the solution positions, drawn before the kernel runs, from one
-advanced past both.
+advanced past both.  The drawn rows, x, the kernel's work pair and the squares are
+buffers that the thread's next chunk reuses (`model._scratch`); the times are fresh.
 
 Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
 thread, largest plan first; each plan's chunks run in order on its thread.  A single
@@ -40,7 +41,7 @@ from .analytics import (
     expected_time_random_starts,
 )
 from .model import (
-    RegionSpec, SpeedDistribution, _drawn_starts, _require_finite_positive, _require_positive_int
+    RegionSpec, SpeedDistribution, _drawn_starts, _require_finite_positive, _require_positive_int, _scratch
 )
 from .simulation import (
     grouped_times,
@@ -308,11 +309,13 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
         row = law.speeds if isinstance(law, SpeedDistribution) else np.array(law, dtype=float)
         speeds = np.broadcast_to(row, (count, m))
 
-    x = _chunk_rng(plan, chunk_index, drawn).uniform(0.0, L, count)
+    x = _chunk_rng(plan, chunk_index, drawn).random(out=_scratch("x", count))
+    x *= L  # uniform(0, L): 0.0 + L * u, the same bits as u * L
 
     with np.errstate(over="ignore"):  # run_trials rejects times and squares out of range
         times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
-        return float(np.sum(times)), float(np.sum(times * times)), float(times.min()), float(times.max())
+        squares = np.multiply(times, times, out=_scratch("squares", count))
+        return float(np.sum(times)), float(np.sum(squares)), float(times.min()), float(times.max())
 
 
 def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:

@@ -1,11 +1,12 @@
 """Core value types: the circular region and the agents' speed law, and what the kernels
-and the draws share: row blocks, drawn rows that are read a row block per draw in row
-order, and _step, the one edge-count lookup behind the speed draw and a shared start row."""
+and the draws share: row blocks, each thread's scratch buffers, drawn rows read a row
+block per draw in row order, and _step, the edge-count lookup of speeds and start rows."""
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = ["RegionSpec", "SpeedDistribution"]
 # entries per block in the drawn rows, the batch kernels and the gap histogram:
 # 512 KB per float64 temporary, which keeps a block's working set in cache
 _BLOCK_ENTRIES = 1 << 16
+_workspace = threading.local()  # each thread's buffers by role, handed out by _scratch
 
 
 def _row_blocks(trials: int, m: int):
@@ -24,23 +26,32 @@ def _row_blocks(trials: int, m: int):
         yield slice(lo, min(lo + step, trials))
 
 
+def _scratch(role: str, *shape: int) -> np.ndarray:
+    """The calling thread's float64 buffer for `role` (a chunk's drawn "starts" and
+    "speeds", its "x", the kernel's "work" pair, the fold's "squares") as a C-order
+    array of `shape`, valid until the thread's next request for that role.  A thread
+    keeps one flat buffer per role, grown to the largest request and never shrunk, so
+    its chunks reuse memory that is already mapped instead of faulting it in again."""
+    size = math.prod(shape)
+    if len(buf := getattr(_workspace, role, ())) < size:
+        setattr(_workspace, role, buf := np.empty(size))
+    return buf[:size].reshape(shape)
+
+
 class _DrawnRows:
     """The rows of the one-shot draw `fill(rng.random(shape))`, drawn as a reader asks
     for them.  A reader reads in row order, one row block at a time; each read is one
-    `rng.random` draw of its rows into one reused buffer, mapped in place by `fill`,
-    and since `rng.random` fills in C order, in-order reads are the one-shot stream.
-    A read is a view of the buffer, valid until the next read."""
+    `rng.random` draw of its rows into the thread's `role` buffer, mapped in place by
+    `fill`, and since `rng.random` fills in C order, in-order reads are the one-shot
+    stream.  A read is valid until the thread's next read of the same role."""
 
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, int], fill) -> None:
-        self.shape, self._rng, self._fill = shape, rng, fill
-        self._buf = np.empty((0, shape[1]))
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, int], fill, role: str) -> None:
+        self.shape, self._rng, self._fill, self._role = shape, rng, fill, role
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        count = len(range(*rows.indices(self.shape[0])))
-        if count > len(self._buf):
-            self._buf = np.empty((count, self.shape[1]))
-        self._fill(self._rng.random(out=self._buf[:count].reshape(-1)))
-        return self._buf[:count]
+        buf = _scratch(self._role, len(range(*rows.indices(self.shape[0]))), self.shape[1])
+        self._fill(self._rng.random(out=buf.reshape(-1)))
+        return buf
 
 
 def _step(edges: np.ndarray, levels: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
@@ -60,7 +71,7 @@ def _step(edges: np.ndarray, levels: np.ndarray, values: np.ndarray, out=None) -
 def _drawn_starts(rng: np.random.Generator, length: float, shape: tuple[int, int]) -> _DrawnRows:
     """Uniform random starts, `rng.uniform(0, length, shape)` bit for bit, a row block
     at a time: numpy's uniform(0, L) is 0.0 + L * u, the same bits as L * u."""
-    return _DrawnRows(rng, shape, lambda u: np.multiply(u, length, out=u))
+    return _DrawnRows(rng, shape, lambda u: np.multiply(u, length, out=u), "starts")
 
 
 def _require_positive_int(value, name: str) -> None:
@@ -139,7 +150,7 @@ class SpeedDistribution:
         """
         cdf, speeds = self.masses.cumsum(), self.speeds
         cdf /= cdf[-1]
-        return _DrawnRows(rng, shape, lambda u: _step(cdf[:-1], speeds, u, out=u))
+        return _DrawnRows(rng, shape, lambda u: _step(cdf[:-1], speeds, u, out=u), "speeds")
 
     def is_degenerate(self) -> bool:
         return len(self.atoms) == 1

@@ -4,13 +4,13 @@ Each *_times kernel takes (trials, m) agent speeds and starts, arrays or drawn
 rows, and the trials' solution positions, and returns one time per trial.  They
 share one batch check, made once at entry (drawn starts are L * u with u < 1, in
 [0, L) by construction), and one driver, which only runs the formula in row order per
-block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in a reused
-pair of (rows, m) float arrays; the (rows, m) temporaries a block still allocates
-are _lift's bool mask, and grouped's argsort, tie mask and gathers.  numpy pays a
-fixed cost per row when it reduces along a short row, so a row of at most
-_SWEEP_COLUMNS entries takes its minimum, or grouped's count of the group starts at
-or before x, a column at a time, and so does the sum of a row of at most
-_SUM_SWEEP_COLUMNS speeds.
+block of about _BLOCK_ENTRIES entries, one read of a drawn source each, in its
+thread's "work" pair of (rows, m) float arrays; the (rows, m) temporaries a block still
+allocates are _lift's bool mask and grouped's argsort.  The times are a fresh array,
+since callers keep them.  numpy pays a fixed cost per row when it reduces along a short
+row, so a row of at most _SWEEP_COLUMNS entries takes its minimum, or grouped's count
+of the group starts at or before x, a column at a time, and so does the sum of a row
+of at most _SUM_SWEEP_COLUMNS speeds.
 
 When every agent views one positive speed v (all strides 0: a point-mass law or one
 fixed speed), the one-directional block takes each trial's least lifted offset
@@ -21,9 +21,11 @@ On a start row that every trial shares, the least offset is the one back to the 
 start at or before x, so no (rows, m) array is built.
 
 The grouped kernel sorts each row's starts with the default sort, and only rows
-with a tie sort again, stably, because the stable order is the contract.  Each
+with a tie sort again, stably, because the stable order is the contract; a block
+looks for ties row by row only when its flat sorted starts hold an equal pair.  Each
 row's order holds flat indices into the block, so the sorted starts, the owner
-group's first start and its members' speeds come from np.take on flat arrays.
+group's first start and its members' speeds come from np.take on flat arrays, the
+speeds of a group of at most _SUM_SWEEP_COLUMNS members one member at a time.
 
 Proportional allocation lays speed-proportional arcs head to tail from 0, and
 each agent sweeps its own arc one way.  Every arc takes L / sum(v), so the first
@@ -38,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import _require_finite_positive, _require_positive_int, _row_blocks, _step
+from .model import _require_finite_positive, _require_positive_int, _row_blocks, _scratch, _step
 
 # rows of at most this many entries take their minimum, and grouped counts its
 # boundaries at or before x, a column at a time
@@ -94,14 +96,12 @@ def _run_blocks(block, starts, speeds: np.ndarray, x: np.ndarray, length: float)
     per row block, `work` a pair of (rows, m) arrays; `starts` is None for a kernel that
     places its own."""
     trials, m = speeds.shape
-    blocks = list(_row_blocks(trials, m))
-    # work arrays per call, not per block: a block's (rows, m) temporaries freed on
-    # return are handed back to the OS and faulted in again for the next block
-    work = np.empty((2, blocks[0].stop if blocks else 0, m))
     out = np.empty(trials)
-    for rows in blocks:
+    for rows in _row_blocks(trials, m):
         s = None if starts is None else starts[rows]
-        block(s, speeds[rows], x[rows], length, work[:, : rows.stop - rows.start], out[rows])
+        # the thread's pair: freed (rows, m) temporaries would be trimmed and faulted in again
+        work = _scratch("work", 2, rows.stop - rows.start, m)
+        block(s, speeds[rows], x[rows], length, work, out[rows])
     return out
 
 
@@ -170,8 +170,10 @@ def _grouped_block(group_size, s, v, x, length, work, out) -> None:
     # every index is valid, so "clip" only lets take write `out` without a buffer
     srt = np.take(s, order, out=work[0], mode="clip")
     # only equal starts have another sorted order, and the stable one is the contract;
-    # srt keeps the first: ties differ at most in the sign of 0.0, which _wrap erases
-    if (tie := srt[:, 1:] == srt[:, :-1]).any():
+    # srt keeps the first: ties differ at most in the sign of 0.0, which _wrap erases;
+    # the flat neighbours include each row's, so a block with no equal pair skips the rows
+    flat = srt.reshape(-1)
+    if (flat[1:] == flat[:-1]).any() and (tie := srt[:, 1:] == srt[:, :-1]).any():
         tied = tie.any(axis=1)
         order[tied] = np.argsort(s[tied], axis=1, kind="stable") + offsets[tied]
     bounds = srt[:, ::group_size]  # each group's first start
@@ -188,8 +190,14 @@ def _grouped_block(group_size, s, v, x, length, work, out) -> None:
     if ragged < group_size:
         parts = [(pos < G - 1, group_size), (pos == G - 1, ragged)]
     for r, width in parts:
-        speeds = np.take(v, np.take(order, first[r, None] + np.arange(width)))
-        out[r] /= _reduce_rows(np.add, speeds, np.empty(len(speeds)), _SUM_SWEEP_COLUMNS)
+        f = first[r]
+        if width > _SUM_SWEEP_COLUMNS:  # numpy sums a row this wide pairwise
+            total = np.take(v, np.take(order, f[:, None] + np.arange(width))).sum(axis=1)
+        else:  # left to right, as numpy sums a short row, but with no (rows, width) gather
+            total = np.take(v, np.take(order, f))
+            for j in range(1, width):
+                total += np.take(v, np.take(order, f + j))
+        out[r] /= total
 
 
 def _proportional_block(_, v, x, length, work, out) -> None:

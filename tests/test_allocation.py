@@ -25,7 +25,7 @@ from coopsearch.harness import (
     resolve_method,
     run_trials,
 )
-from coopsearch.model import _BLOCK_ENTRIES, RegionSpec
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution
 from coopsearch.simulation import grouped_times, proportional_times
 
 R = RegionSpec(1000.0)
@@ -282,3 +282,15 @@ def test_estimate_length_pmf_chunking_invariant():
         # the same seed drawn in one pass, without row blocks: identical histogram
         expected = oracles.one_shot_length_pmf(L, m, trials, 9)
         np.testing.assert_array_equal(estimate_length_pmf(L, m, trials, 9), expected)
+
+
+def test_estimate_length_pmf_after_a_wide_plan_on_its_thread():
+    # the gaps and their bins take the thread's work pair, which a plan at m past one
+    # block grows first; the masses stay the one-shot draw's
+    m, trials = 7, 2 * (_BLOCK_ENTRIES // 7) + 5
+    before = estimate_length_pmf(L, m, trials, 9)
+    law = SpeedDistribution(((0.5, 0.5), (1.0, 0.5)))
+    run_trials(TrialPlan(R, _BLOCK_ENTRIES + 1, StrategySpec("one-directional"), "random", law, 3), workers=1)
+    after = estimate_length_pmf(L, m, trials, 9)
+    np.testing.assert_array_equal(before, after)
+    np.testing.assert_array_equal(after, oracles.one_shot_length_pmf(L, m, trials, 9))

@@ -228,19 +228,40 @@ def test_each_plan_is_built_once(argv, plans, monkeypatch, tmp_path):
     assert len(built) == plans
 
 
-@pytest.mark.parametrize("output", ["missing/out.csv", "."])
-def test_unwritable_output_is_an_error(output, tmp_path):
+def in_fresh_process(argv) -> subprocess.CompletedProcess:
+    """`coopsearch argv` in a new interpreter that imports this checkout's package."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    argv = ["expected", "--agents", "2", "--output", str(tmp_path / output)]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "coopsearch.cli", *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("output", ["missing/out.csv", "."])
+def test_unwritable_output_is_an_error(output, tmp_path):
+    proc = in_fresh_process(["expected", "--agents", "2", "--output", str(tmp_path / output)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["sweep", "--agents", "2:4", "--trials", "0"], ["simulate", "--agents", "3", "--strategy", "grouped"]],
+    ids=["argparse", "parse_config"],
+)
+def test_usage_error_leaves_the_parser_as_built(bad, capsys):
+    # one parser serves every call in a process: after a call that exits 2, the next
+    # call prints what it prints in a fresh process
+    argv = ["sweep", "--agents", "2:4", "--strategy", "grouped-2", *FAST]
+    assert main(bad) == 2
+    capsys.readouterr()
+    rc = main(argv)
+    proc = in_fresh_process(argv)
+    assert (rc, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+    assert rc == 0 and cli._build_parser() is cli._build_parser()
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

@@ -1,6 +1,8 @@
 """Trial runner: determinism, statistics, sweeps, comparisons."""
 
 import math
+import resource
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -367,6 +369,67 @@ def test_mean_decreases_with_doubling():
         for a, b in ((4, 8), (8, 16)):
             sa, sb = entries[a], entries[b]
             assert sb.mean < sa.mean + 2 * (sa.ci95 + sb.ci95), token
+
+
+def on_fresh_thread(fn):
+    """fn() on a new thread, whose workspace starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and result
+    return result[0]
+
+
+def test_workspace_reused_smaller_keeps_every_plan():
+    # one thread runs the plans in turn: its buffers grow past one block at m = 65537,
+    # then serve smaller plans; each plan's stats are those of its own fresh thread
+    plans = [
+        plan(3, StrategySpec("grouped", 2), "random", MIXED, CHUNK_TRIALS + 7),
+        plan(model._BLOCK_ENTRIES + 1, ONE, "random", MIXED, trials=3),
+        plan(5, StrategySpec("proportional"), "proportional", MIXED, trials=2000),
+    ]
+    got = compare_strategies(plans, workers=1)
+    assert list(got) == [on_fresh_thread(lambda p=p: run_trials(p, workers=1)) for p in plans]
+
+
+def test_workspaces_stay_per_thread_under_fast_switching():
+    # more pool threads than cores, switching as often as the interpreter allows: a
+    # buffer that one thread could hand to another would change some plan's stats
+    targets = [("grouped-3", 9), ("two-directional", 6), ("proportional", 7), ("random", 5), ("one-directional", 4)]
+    plans = method_plans(targets, CHUNK_TRIALS + 7, 11)
+    want = compare_strategies(plans, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert compare_strategies(plans, workers=5) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage (Linux)")
+@pytest.mark.parametrize(
+    "method, m, speeds",
+    [
+        ("one-directional", 16, MIXED),
+        ("two-directional", 16, MIXED),
+        ("grouped-3", 16, MIXED),
+        ("proportional", 16, MIXED),
+        ("random", 16, UNIT),
+        ("one-directional", 256, MIXED),
+    ],
+    ids=["one-directional", "two-directional", "grouped-3", "proportional", "shared-speed", "one-directional-256"],
+)
+def test_repeated_plan_takes_no_page_faults(method, m, speeds):
+    # a thread keeps its chunk buffers, so once a plan has run, running it again maps
+    # no new memory; freed per-chunk buffers were trimmed and faulted in again each time
+    _, strategy, allocation = resolve_method(method)
+    p = plan(m, strategy, allocation, speeds, trials=40_000)  # two chunks
+    for _ in range(2):
+        run_trials(p, workers=1)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    run_trials(p, workers=1)
+    assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 64
 
 
 def test_compare_strategies_rows():

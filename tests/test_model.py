@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution, _step
+from coopsearch.model import _BLOCK_ENTRIES, RegionSpec, SpeedDistribution, _drawn_starts, _row_blocks, _step
 from coopsearch.simulation import one_directional_times
 
 L = 1000.0
@@ -149,6 +149,21 @@ def test_speed_sample_follows_choice_stream(law, size):
         got = np.concatenate([source[rows].copy() for rows in reads])
         assert np.array_equal(got, want)
         assert rng.random() == after
+
+
+def test_drawn_starts_and_speeds_read_interleaved_match_one_shot_draws():
+    # a kernel block holds a read of each source at once, and each source fills its own
+    # buffer of the thread's workspace, so no read overwrites the other's rows
+    want_starts = np.random.default_rng(5).uniform(0, L, MULTI_BLOCK)
+    want_speeds = np.random.default_rng(6).choice(MIXED.speeds, size=MULTI_BLOCK, p=MIXED.masses)
+    starts = _drawn_starts(np.random.default_rng(5), L, MULTI_BLOCK)
+    speeds = MIXED.sample(np.random.default_rng(6), MULTI_BLOCK)
+    for k, rows in enumerate(_row_blocks(*MULTI_BLOCK)):
+        if k % 2:
+            v, s = speeds[rows], starts[rows]
+        else:
+            s, v = starts[rows], speeds[rows]
+        assert np.array_equal(s, want_starts[rows]) and np.array_equal(v, want_speeds[rows]), k
 
 
 @pytest.mark.parametrize(

@@ -487,6 +487,44 @@ def test_grouped_kernel_bit_identical(m):
             assert same_bits(got, grouped_oracle(row, speeds, x, L, n)), n
 
 
+@pytest.mark.parametrize("m", [2, 5, 33])
+def test_grouped_tie_only_across_rows_keeps_bits(m):
+    # each row's largest start equals the next row's smallest, so the flat sorted block
+    # has equal neighbours while no row has a tie: the per-row check runs and finds none
+    rng = np.random.default_rng(600 + m)
+    starts = np.sort(rng.uniform(0, L, 3000 * m)).reshape(-1, m)  # rows in ascending runs
+    starts[1:, 0] = starts[:-1, -1]
+    starts = rng.permuted(starts, axis=1)
+    speeds = rng.choice([0.1, 0.2, 0.3, 0.7, 1.375, 3.7], size=starts.shape)
+    x = rng.uniform(0, L, len(starts))
+    srt = np.sort(starts, axis=1)
+    flat = srt.reshape(-1)
+    assert not (srt[:, 1:] == srt[:, :-1]).any() and (flat[1:] == flat[:-1]).sum() >= len(starts) - 1
+    for n in range(1, m + 1):
+        assert same_bits(grouped_times(starts, speeds, x, L, n), grouped_oracle(starts, speeds, x, L, n)), n
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        one_directional_times,
+        two_directional_times,
+        lambda s, v, x, L: grouped_times(s, v, x, L, 2),
+        lambda s, v, x, L: proportional_times(v, x, L),
+        lambda s, v, x, L: one_directional_times(s, np.broadcast_to(1.5, v.shape), x, L),
+        lambda s, v, x, L: one_directional_times(np.broadcast_to(s[0], s.shape), np.broadcast_to(1.5, v.shape), x, L),
+    ],
+    ids=["one-directional", "two-directional", "grouped", "proportional", "shared-speed", "shared-row"],
+)
+def test_kernel_outputs_are_fresh_arrays(kernel):
+    # callers keep the times, several calls' at once, so no output is a workspace buffer
+    starts, speeds, x = adversarial_batch(5, seed=9)
+    first = kernel(starts, speeds, x, L)
+    second = kernel(starts, speeds, x, L)
+    assert not np.shares_memory(first, second)
+    assert same_bits(first, second)
+
+
 @pytest.mark.parametrize("m", [2, 7, 256])
 def test_grouped_and_proportional_blocks_match_one_pass(m):
     starts, speeds, x = adversarial_batch(m, seed=200 + m)
@@ -504,7 +542,7 @@ def test_grouped_and_proportional_blocks_match_one_pass(m):
     ids=["one-directional", "two-directional", "proportional"],
 )
 def test_kernel_call_allocates_its_work_pair_and_little_else(kernel, m):
-    # a call works in one reused pair of (rows, m) float arrays and fills its output;
+    # a call works in its thread's pair of (rows, m) float arrays and fills its output;
     # what a block allocates besides (the wrap's bool mask, proportional's row sums)
     # stays under half a float block, so no block builds a (rows, m) float temporary
     trials = 32768
