@@ -15,20 +15,25 @@ starts, sampled speeds and solution positions, in that order.  The kernel loop r
 the starts and the speeds as drawn rows, in row order, a row block per draw, so no
 (trials, m) array is built: the starts from the chunk's generator and the speeds from
 one advanced past them; the solution positions, drawn before the kernel runs, from one
-advanced past both.  The drawn rows, x, the kernel's work pair and the squares are
-buffers that the thread's next chunk reuses (`model._scratch`); the times are fresh.
+advanced past both.  The drawn rows, x and the kernel's work pair are buffers that
+the thread's next chunk reuses (`model._scratch`); the times are fresh, and the fold
+squares them in place.
 
 Scheduling: a sweep or comparison runs its plans concurrently, one plan per pool
 thread, largest plan first; each plan's chunks run in order on its thread.  A single
-plan spreads its chunks over the pool instead.  Both go through `parallel_map`.
+plan spreads its chunks over the pool instead.  Both go through `parallel_map`, whose
+pool for a worker count is made on first use and lives as long as the process, so its
+threads keep their workspaces from call to call.  A 1-worker run starts no thread, and
+a forked child makes its own pool.  No pool task submits to a pool: a comparison that
+spreads its plans runs each plan's chunks inline on the plan's thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -263,24 +268,41 @@ def closed_form(plan: TrialPlan) -> float | None:
     return None if form is None else form(plan.region.length, plan.num_agents, law)
 
 
+@functools.cache
+def _pool(workers: int):
+    """The process's pool of `workers` threads, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, so a pool it inherited never runs
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int | None, size: Callable) -> list:
     """[fn(item) for item in items] on min(workers, len(items)) threads.
 
     Items are submitted largest `size` first (ties in the given order), so the longest
-    job does not start last; results come back in the given order.  With one thread
-    every call runs on the calling thread, in the given order.  `workers=None` means
-    one thread per CPU.
+    job does not start last; results come back in the given order once every item has
+    finished.  With one thread every call runs on the calling thread, in the given
+    order, and no thread starts.  Otherwise the items run on the process's pool for
+    `workers` (a forked child makes its own), whose threads keep their workspaces
+    between calls; `fn` must not submit to a pool, or a busy pool could wait on itself.
+    `workers=None` means one thread per CPU.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     _require_positive_int(workers, "workers")
-    threads = min(workers, len(items))
-    if threads <= 1:
+    if min(workers, len(items)) <= 1:
         return [fn(item) for item in items]
     order = sorted(range(len(items)), key=lambda i: size(items[i]), reverse=True)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(fn, items[i]) for i in order}
-        return [futures[i].result() for i in range(len(items))]
+    pool = _pool(workers)
+    futures = {i: pool.submit(fn, items[i]) for i in order}
+    for future in futures.values():
+        future.exception()  # waits, so no item outlives the call, even when one fails
+    return [futures[i].result() for i in range(len(items))]
 
 
 def _chunk_rng(plan: TrialPlan, chunk_index: int, skip: int = 0) -> np.random.Generator:
@@ -314,8 +336,8 @@ def _chunk_partial(plan: TrialPlan, chunk_index: int, count: int) -> tuple[float
 
     with np.errstate(over="ignore"):  # run_trials rejects times and squares out of range
         times = STRATEGIES[plan.strategy.kind].kernel(starts, speeds, x, L, plan.strategy)
-        squares = np.multiply(times, times, out=_scratch("squares", count))
-        return float(np.sum(times)), float(np.sum(squares)), float(times.min()), float(times.max())
+        total, minimum, maximum = float(np.sum(times)), float(times.min()), float(times.max())
+        return total, float(np.sum(np.multiply(times, times, out=times))), minimum, maximum
 
 
 def run_trials(plan: TrialPlan, workers: int | None = None) -> SummaryStats:

@@ -28,10 +28,10 @@ def _row_blocks(trials: int, m: int):
 
 def _scratch(role: str, *shape: int) -> np.ndarray:
     """The calling thread's float64 buffer for `role` (a chunk's drawn "starts" and
-    "speeds", its "x", the kernel's "work" pair, the fold's "squares") as a C-order
-    array of `shape`, valid until the thread's next request for that role.  A thread
-    keeps one flat buffer per role, grown to the largest request and never shrunk, so
-    its chunks reuse memory that is already mapped instead of faulting it in again."""
+    "speeds", its "x", the kernel's "work" pair) as a C-order array of `shape`, valid
+    until the thread's next request for that role.  A thread keeps one flat buffer per
+    role, grown to the largest request and never shrunk, so its chunks reuse memory
+    that is already mapped instead of faulting it in again."""
     size = math.prod(shape)
     if len(buf := getattr(_workspace, role, ())) < size:
         setattr(_workspace, role, buf := np.empty(size))

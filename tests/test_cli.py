@@ -228,12 +228,14 @@ def test_each_plan_is_built_once(argv, plans, monkeypatch, tmp_path):
     assert len(built) == plans
 
 
-def in_fresh_process(argv) -> subprocess.CompletedProcess:
-    """`coopsearch argv` in a new interpreter that imports this checkout's package."""
+def in_fresh_process(argv, then: str = "pass") -> subprocess.CompletedProcess:
+    """`coopsearch argv` through `cli.main` in a new interpreter that imports this
+    checkout's package, followed by the statement `then`, which may use `sys`."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = f"import sys\nfrom coopsearch.cli import main\nrc = main(sys.argv[1:])\n{then}\nsys.exit(rc)"
     return subprocess.run(
-        [sys.executable, "-m", "coopsearch.cli", *argv],
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -245,6 +247,13 @@ def test_unwritable_output_is_an_error(output, tmp_path):
     proc = in_fresh_process(["expected", "--agents", "2", "--output", str(tmp_path / output)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_one_worker_run_loads_no_thread_pool(tmp_path):
+    # at one worker every chunk runs on the calling thread: no pool, not even its module
+    argv = ["sweep", "--agents", "2:4", "--workers", "1", *FAST, "--output", str(tmp_path / "out.csv")]
+    proc = in_fresh_process(argv, then="assert 'concurrent.futures' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Trial runner: determinism, statistics, sweeps, comparisons."""
 
 import math
+import multiprocessing
+import os
 import resource
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -498,6 +501,69 @@ def test_parallel_map_order_and_thread_count(workers):
     assert len(threads) <= min(workers, len(items))
     with pytest.raises(ValueError):
         harness.parallel_map(square, items, 0, lambda k: k)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_SELF"), reason="needs process rusage")
+def test_warm_pool_keeps_its_threads_and_their_workspaces(monkeypatch):
+    # the pool for a worker count outlives each call: a warm call runs on threads that
+    # ran before, whose buffers are mapped, so it maps no new memory anywhere in the
+    # process; m divides _BLOCK_ENTRIES, so every plan asks for buffers of one size
+    kernel = harness.one_directional_times
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.current_thread())  # a Thread object: idents are reused
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, "one_directional_times", recording)
+    plans = [plan(m=m, allocation="random", speeds=MIXED, trials=40_000) for m in (2, 4, 8, 16)]
+    for _ in range(2):
+        sweep_m(plans, workers=2)
+    warm, threads[:] = set(threads), []
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep_m(plans, workers=2)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert len(threads) == 8 and set(threads) <= warm
+    assert threading.current_thread() not in warm
+    assert faults < 64
+
+
+def test_parallel_map_waits_for_every_item():
+    # a failure is raised only once every submitted item has finished, and the pool
+    # serves the next call as before
+    finished = []
+
+    def job(k):
+        if k == 0:
+            raise ValueError("item 0")
+        time.sleep(0.2)
+        finished.append(k)
+        return k
+
+    with pytest.raises(ValueError, match="item 0"):
+        harness.parallel_map(job, [0, 1], 2, lambda k: k)
+    assert finished == [1]
+    assert harness.parallel_map(lambda k: k * k, [3, 1, 2], 2, lambda k: k) == [9, 1, 4]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork (POSIX)")
+def test_forked_child_builds_its_own_pool():
+    # the child inherits the parent's pool but none of its threads: without its own
+    # pool, the child's first 2-worker run would wait for ever
+    p = plan(m=5, allocation="random", speeds=MIXED, trials=CHUNK_TRIALS + 7)
+    want = repr(run_trials(p, workers=2))
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: writer.send(repr(run_trials(p, workers=2))))
+    child.start()
+    got = reader.recv() if reader.poll(timeout=60) else None
+    child.join(timeout=10)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
+    assert got == want
 
 
 def test_compare_homogeneous_equivalence_smoke():
